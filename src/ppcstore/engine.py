@@ -9,6 +9,7 @@ Directory layout: MANIFEST (text), wal-<seq>.log, tbl-<seq>.ppcs.
 """
 
 import heapq
+import itertools
 import logging
 import os
 import re
@@ -29,7 +30,7 @@ from .errors import (
     StoreError,
 )
 from .keys import PpcKey
-from .sstable import SSTable, build_table
+from .sstable import MIN_BLOCK_SIZE, SSTable, build_table
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +71,10 @@ class StoreConfig:
     compaction_threads: int = 6
     bits_per_key: float = 10.0
     capacity_m: int | None = None
-    mmap_reads: bool = False
 
     def __post_init__(self):
+        if self.target_block_size < MIN_BLOCK_SIZE:
+            raise ConfigError(f"target_block_size must be at least {MIN_BLOCK_SIZE}")
         if self.write_buffer_bytes < 1 * MIB:
             raise ConfigError("write_buffer_bytes must be at least 1 MiB")
         if self.compaction_threads < 1:
@@ -138,8 +140,8 @@ class Engine:
         self._seq = max(self._seq, max_file_seq + 1)
 
         try:
-            l0 = tuple(SSTable(self.dir / name, self.config.mmap_reads) for name in l0_names)
-            l1 = tuple(SSTable(self.dir / name, self.config.mmap_reads) for name in l1_names)
+            l0 = tuple(SSTable(self.dir / name) for name in l0_names)
+            l1 = tuple(SSTable(self.dir / name) for name in l1_names)
         except (OSError, StoreError) as exc:
             raise RecoveryError(f"cannot open tables from manifest: {exc}") from exc
         self._install_tables(l0, l1)
@@ -316,42 +318,42 @@ class Engine:
                     pass
 
     def _build_new_table(self, entries: Iterable[tuple[bytes, bytes]]) -> SSTable:
+        """Write entries as the next table file; a failed build removes it."""
         path = self.dir / f"tbl-{self._seq:06d}.ppcs"
         self._seq += 1
-        build_table(
-            path,
-            entries,
-            target_block_size=self.config.target_block_size,
-            codec=self.config.codec,
-            bits_per_key=self.config.bits_per_key,
-            compress_threads=self.config.compaction_threads,
-        )
-        return SSTable(path, self.config.mmap_reads)
+        try:
+            build_table(
+                path,
+                entries,
+                target_block_size=self.config.target_block_size,
+                codec=self.config.codec,
+                bits_per_key=self.config.bits_per_key,
+                compress_threads=self.config.compaction_threads,
+            )
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        return SSTable(path)
 
     def compact(self) -> None:
-        """Merge L0 into L1: newest version wins, tombstones drop out."""
+        """Merge L0 into L1: newest version wins, tombstones drop out.
+
+        The merge streams into build_table, closing a table after the entry
+        that brings its key plus stored-value bytes to write_buffer_bytes. On
+        failure every output file, a partly written one too, is removed.
+        """
         with self._writer_lock:
             self._check_open()
             l0, l1, _ = self._tables
             if not l0:
                 return
-            inputs = list(l0) + list(l1)
-            cut = self.config.write_buffer_bytes
-
+            inputs = l0 + l1
+            live = _newest_wins([t.scan() for t in inputs])
             new_tables: list[SSTable] = []
-            chunk: list[tuple[bytes, bytes]] = []
-            chunk_raw = 0
             try:
-                for key, wrapped in _newest_wins(inputs):
-                    if wrapped[:1] == _TOMB:
-                        continue
-                    chunk.append((key, wrapped))
-                    chunk_raw += len(key) + len(wrapped)
-                    if chunk_raw >= cut:
-                        new_tables.append(self._build_new_table(iter(chunk)))
-                        chunk, chunk_raw = [], 0
-                if chunk:
-                    new_tables.append(self._build_new_table(iter(chunk)))
+                for first in live:  # each pass builds one table from the shared stream
+                    run = _run(itertools.chain((first,), live), self.config.write_buffer_bytes)
+                    new_tables.append(self._build_new_table(run))
             except BaseException:
                 for t in new_tables:
                     t.close()
@@ -377,20 +379,7 @@ class Engine:
         return self.get_encoded(key.encoded())
 
     def get_encoded(self, key: bytes) -> bytes | None:
-        value = self._memtable.get(key)
-        if value is not None:
-            return None if value is TOMBSTONE else value
-        l0, l1, l1_firsts = self._tables
-        for table in l0:
-            wrapped = table.get(key)
-            if wrapped is not None:
-                return _unwrap(wrapped)
-        idx = bisect_right(l1_firsts, key) - 1
-        if idx >= 0 and l1[idx].covers(key):
-            wrapped = l1[idx].get(key)
-            if wrapped is not None:
-                return _unwrap(wrapped)
-        return None
+        return _lookup(key, self._memtable, self._tables)
 
     def multi_get(self, keys: list[PpcKey]) -> list[bytes | None]:
         return self.multi_get_encoded([k.encoded() for k in keys])
@@ -398,36 +387,19 @@ class Engine:
     def multi_get_encoded(self, keys: list[bytes]) -> list[bytes | None]:
         """Positionally aligned gets; distinct keys are fetched once, in
         sorted order, sharing decompressed blocks within the call."""
-        memtable = self._memtable
-        l0, l1, l1_firsts = self._tables
+        memtable, tables = self._memtable, self._tables
         caches: dict[int, dict] = {}
         results: dict[bytes, bytes | None] = {}
         completed = 0
         for key in sorted(set(keys)):
             try:
-                results[key] = self._cached_lookup(key, memtable, l0, l1, l1_firsts, caches)
+                results[key] = _lookup(key, memtable, tables, caches)
             except IntegrityError as exc:
                 raise BatchAbortedError(
                     f"batch aborted after {completed} keys: {exc}", completed
                 ) from exc
             completed += 1
         return [results[k] for k in keys]
-
-    def _cached_lookup(self, key, memtable, l0, l1, l1_firsts, caches) -> bytes | None:
-        value = memtable.get(key)
-        if value is not None:
-            return None if value is TOMBSTONE else value
-        for table in l0:
-            wrapped = table.get(key, caches.setdefault(id(table), {}))
-            if wrapped is not None:
-                return _unwrap(wrapped)
-        idx = bisect_right(l1_firsts, key) - 1
-        if idx >= 0 and l1[idx].covers(key):
-            table = l1[idx]
-            wrapped = table.get(key, caches.setdefault(id(table), {}))
-            if wrapped is not None:
-                return _unwrap(wrapped)
-        return None
 
     # -- maintenance / introspection ----------------------------------------
 
@@ -441,20 +413,9 @@ class Engine:
             mem_items = sorted(self._memtable.items())
             l0, l1, _ = self._tables
 
-        streams: list[Iterator[tuple[bytes, int, bytes]]] = []
-        if mem_items:
-            streams.append((k, 0, _wrap(v)) for k, v in mem_items)
-        streams += [
-            _tagged_scan(t, prio)
-            for prio, t in enumerate(list(l0) + list(l1), start=1)
-        ]
-        prev = None
-        for key, _prio, wrapped in heapq.merge(*streams):
-            if key == prev:
-                continue
-            prev = key
-            if wrapped[:1] != _TOMB:
-                yield key, wrapped[1:]
+        memtable = ((k, _wrap(v)) for k, v in mem_items)
+        for key, wrapped in _newest_wins([memtable] + [t.scan() for t in l0 + l1]):
+            yield key, wrapped[1:]
 
     def live_keys(self) -> Iterator[bytes]:
         for key, _ in self.live_entries():
@@ -502,20 +463,49 @@ class Engine:
         return self.config.codec, self.config.target_block_size
 
 
-def _tagged_scan(table: SSTable, prio: int) -> Iterator[tuple[bytes, int, bytes]]:
-    for key, wrapped in table.scan():
-        yield key, prio, wrapped
+def _lookup(key: bytes, memtable: dict, tables: tuple, caches: dict | None = None) -> bytes | None:
+    """Newest version of key; caches maps id(table) to a multi-get's block cache."""
+    value = memtable.get(key)
+    if value is not None:
+        return None if value is TOMBSTONE else value
+    l0, l1, l1_firsts = tables
+    idx = bisect_right(l1_firsts, key) - 1
+    if idx >= 0 and l1[idx].covers(key):
+        l0 += (l1[idx],)
+    for table in l0:
+        cache = None if caches is None else caches.setdefault(id(table), {})
+        wrapped = table.get(key, cache)
+        if wrapped is not None:
+            return _unwrap(wrapped)
+    return None
 
 
-def _newest_wins(tables: list[SSTable]) -> Iterator[tuple[bytes, bytes]]:
-    """Merge table scans; for duplicate keys the lowest-index table wins."""
-    streams = [_tagged_scan(t, prio) for prio, t in enumerate(tables)]
+def _tagged(stream: Iterable[tuple[bytes, bytes]], prio: int) -> Iterator[tuple[bytes, int, bytes]]:
+    """Tags every entry with prio; as a generator expression built inline in
+    _newest_wins' loop, every stream would read the loop's last prio."""
+    return ((key, prio, wrapped) for key, wrapped in stream)
+
+
+def _newest_wins(streams: list[Iterable[tuple[bytes, bytes]]]) -> Iterator[tuple[bytes, bytes]]:
+    """Live entries of key-ascending streams: for a key in several, the one
+    earliest in the list wins; a key whose winner is a tombstone drops out."""
     prev = None
-    for key, _prio, wrapped in heapq.merge(*streams):
+    for key, _prio, wrapped in heapq.merge(*(_tagged(s, p) for p, s in enumerate(streams))):
         if key == prev:
             continue
         prev = key
-        yield key, wrapped
+        if wrapped[:1] != _TOMB:
+            yield key, wrapped
+
+
+def _run(entries: Iterator[tuple[bytes, bytes]], limit: int) -> Iterator[tuple[bytes, bytes]]:
+    """Entries through the one that brings their key plus value bytes to limit."""
+    size = 0
+    for key, value in entries:
+        yield key, value
+        size += len(key) + len(value)
+        if size >= limit:
+            return
 
 
 def open_store(config: StoreConfig) -> Engine:

@@ -95,24 +95,6 @@ class PowercapProbe(CounterProbe):
         return out
 
 
-class FakeProbe(CounterProbe):
-    """Scripted counter for tests: raw microjoule readings plus wrap range."""
-
-    label = "fake"
-    available = True
-
-    def __init__(self, readings_uj: Sequence[int], wrap_range_uj: int):
-        super().__init__()
-        self._readings = list(readings_uj)
-        self._pos = 0
-        self._range = wrap_range_uj
-
-    def _read_raw(self) -> list[tuple[int, int]]:
-        value = self._readings[min(self._pos, len(self._readings) - 1)]
-        self._pos += 1
-        return [(value, self._range)]
-
-
 def auto_probe(mode: str = "auto") -> EnergyProbe:
     """'auto' picks powercap when readable, otherwise the null probe."""
     if mode == "off":

@@ -27,7 +27,6 @@ import threading
 import zlib
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import codec as codec_mod
@@ -46,15 +45,6 @@ _FOOTER = struct.Struct("<QIQIQQQIBBH4x4s")
 assert _FOOTER.size == 64
 
 
-@dataclass(slots=True)
-class BuildResult:
-    path: str
-    entry_count: int
-    block_count: int
-    raw_bytes_total: int
-    compressed_bytes_total: int
-
-
 def _pack_block(payload: bytes, spec: CodecSpec, raw_len: int) -> bytes:
     return (
         _BLOCK_HEADER.pack(spec.algorithm.tag, spec.level, raw_len)
@@ -71,11 +61,14 @@ def build_table(
     codec: CodecSpec,
     bits_per_key: float = 10.0,
     compress_threads: int = 1,
-) -> BuildResult:
+) -> None:
     """Write a table from strictly key-increasing (encoded key, value) pairs.
 
-    Block compression runs on up to compress_threads workers (the codec
-    bindings release the GIL); blocks are written in order either way.
+    entries is read once, while writing, so it may be a generator; on an
+    exception the partly written file is left for the caller to remove. Block
+    compression runs on up to compress_threads workers (the codec bindings
+    release the GIL); blocks are written in order either way. Returns None:
+    the footer holds the entry, block and byte totals.
     """
     if target_block_size < MIN_BLOCK_SIZE:
         raise ConfigError(f"target_block_size {target_block_size} below {MIN_BLOCK_SIZE}")
@@ -168,21 +161,19 @@ def build_table(
             )
         )
 
-    return BuildResult(str(path), entry_count, len(index), raw_total, comp_total)
-
 
 class SSTable:
     """Reader over one table file; immutable, safe for concurrent readers.
 
-    Every data-block decompression bumps blocks_read / bytes_decompressed,
-    which the lookup tests use to prove blooms and the index keep point
-    reads to at most one block.
+    Every read is a pread on the one file descriptor the reader holds open
+    until close(). Every data-block decompression bumps blocks_read /
+    bytes_decompressed, which the lookup tests use to prove blooms and the
+    index keep point reads to at most one block.
     """
 
-    def __init__(self, path, use_mmap: bool = False):
+    def __init__(self, path):
         self.path = str(path)
         self._fd = os.open(self.path, os.O_RDONLY)
-        self._mmap = None
         self._counter_lock = threading.Lock()
         self.blocks_read = 0
         self.bytes_decompressed = 0
@@ -190,10 +181,6 @@ class SSTable:
             size = os.fstat(self._fd).st_size
             if size < _FOOTER.size:
                 raise FormatError(f"{self.path}: file too small for a table footer")
-            if use_mmap:
-                import mmap
-
-                self._mmap = mmap.mmap(self._fd, 0, prot=mmap.PROT_READ)
             (
                 index_offset,
                 index_length,
@@ -259,16 +246,15 @@ class SSTable:
         return len(self.block_offsets)
 
     def _read_at(self, offset: int, length: int) -> bytes:
-        if self._mmap is not None:
-            data = self._mmap[offset : offset + length]
-        else:
-            data = os.pread(self._fd, length, offset)
+        data = os.pread(self._fd, length, offset)
         if len(data) != length:
             raise FormatError(f"{self.path}: short read at offset {offset}")
         return data
 
-    def _load_block_raw(self, idx: int) -> bytes:
-        """Decompress block idx after the CRC check; bumps read counters."""
+    def _read_block(self, idx: int) -> tuple[bytes, list[bytes], list[int]]:
+        """Block idx, CRC-checked and decompressed, as (raw, keys, bounds):
+        entry i (header, key, value) is raw[bounds[i]:bounds[i + 1]], so no
+        value is copied until a caller slices it. The one entry parser."""
         payload_len = self.block_payload_lengths[idx]
         record = self._read_at(
             self.block_offsets[idx], _BLOCK_HEADER.size + payload_len + _CRC.size
@@ -284,13 +270,8 @@ class SSTable:
         with self._counter_lock:
             self.blocks_read += 1
             self.bytes_decompressed += raw_len
-        return raw
-
-    def load_block(self, idx: int) -> tuple[list[bytes], list[bytes]]:
-        """Decompress block idx into parallel (keys, values) lists."""
-        raw = self._load_block_raw(idx)
         keys: list[bytes] = []
-        values: list[bytes] = []
+        bounds = [0]
         pos = 0
         end = len(raw)
         while pos < end:
@@ -301,44 +282,32 @@ class SSTable:
             if pos + klen + vlen > end:
                 raise IntegrityError(f"{self.path}: entry overruns block {idx}")
             keys.append(raw[pos : pos + klen])
-            pos += klen
-            values.append(raw[pos : pos + vlen])
-            pos += vlen
-        return keys, values
+            pos += klen + vlen
+            bounds.append(pos)
+        return raw, keys, bounds
+
+    def load_block(self, idx: int) -> tuple[list[bytes], list[bytes]]:
+        """Decompress block idx into parallel (keys, values) lists."""
+        raw, keys, bounds = self._read_block(idx)
+        head = _ENTRY_HEADER.size
+        return keys, [raw[b + head + len(k) : e] for k, b, e in zip(keys, bounds, bounds[1:])]
 
     def get(self, key: bytes, block_cache: dict | None = None) -> bytes | None:
-        """Point lookup: bloom first, then exactly one data block."""
+        """Point lookup: bloom first, then exactly one data block, of which
+        only the matched value is copied. A block_cache dict (one per table)
+        keeps parsed blocks by index for later lookups, as in a multi-get."""
         if not self.bloom.might_contain(key):
             return None
         idx = bisect_right(self.first_keys, key) - 1
         if idx < 0:
             return None
-        if block_cache is not None:
-            if idx in block_cache:
-                keys, values = block_cache[idx]
-            else:
-                block_cache[idx] = keys, values = self.load_block(idx)
-            pos = bisect_right(keys, key) - 1
-            if pos >= 0 and keys[pos] == key:
-                return values[pos]
-            return None
-        # uncached: walk entry headers and slice only the matched value
-        raw = self._load_block_raw(idx)
-        unpack = _ENTRY_HEADER.unpack_from
-        header = _ENTRY_HEADER.size
-        klen_target = len(key)
-        pos = 0
-        end = len(raw)
-        while pos < end:
-            if pos + header > end:
-                raise IntegrityError(f"{self.path}: truncated entry in block {idx}")
-            klen, vlen = unpack(raw, pos)
-            pos += header
-            if pos + klen + vlen > end:
-                raise IntegrityError(f"{self.path}: entry overruns block {idx}")
-            if klen == klen_target and raw.startswith(key, pos):
-                return raw[pos + klen : pos + klen + vlen]
-            pos += klen + vlen
+        cache = {} if block_cache is None else block_cache
+        if idx not in cache:
+            cache[idx] = self._read_block(idx)
+        raw, keys, bounds = cache[idx]
+        pos = bisect_right(keys, key) - 1
+        if pos >= 0 and keys[pos] == key:
+            return raw[bounds[pos] + _ENTRY_HEADER.size + len(key) : bounds[pos + 1]]
         return None
 
     def scan(
@@ -371,9 +340,6 @@ class SSTable:
         )
 
     def close(self) -> None:
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
         if self._fd is not None and self._fd >= 0:
             os.close(self._fd)
             self._fd = -1

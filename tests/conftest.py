@@ -1,9 +1,12 @@
-"""Shared fixtures: small synthetic corpora and store factories."""
+"""Shared fixtures: small synthetic corpora, store factories, a fake probe."""
+
+from typing import Sequence
 
 import pytest
 
 from ppcstore.codec import CodecSpec
 from ppcstore.engine import KIB, MIB, StoreConfig, open_store
+from ppcstore.metrics import CounterProbe
 from ppcstore.synth import SynthSpec, generate_corpus, generate_records
 
 
@@ -48,3 +51,21 @@ def store(tmp_path):
     yield engine
     if not engine._closed:
         engine.close()
+
+
+class FakeProbe(CounterProbe):
+    """Scripted counter: raw microjoule readings plus wrap range."""
+
+    label = "fake"
+    available = True
+
+    def __init__(self, readings_uj: Sequence[int], wrap_range_uj: int):
+        super().__init__()
+        self._readings = list(readings_uj)
+        self._pos = 0
+        self._range = wrap_range_uj
+
+    def _read_raw(self) -> list[tuple[int, int]]:
+        value = self._readings[min(self._pos, len(self._readings) - 1)]
+        self._pos += 1
+        return [(value, self._range)]

@@ -29,7 +29,6 @@ from ppcstore.engine import KIB, MIB, StoreConfig, open_store
 from ppcstore.extsort import sorted_pairs
 from ppcstore.keys import PpcKey
 from ppcstore.metrics import (
-    FakeProbe,
     NullProbe,
     ReportRow,
     measure,
@@ -46,6 +45,8 @@ from ppcstore.workload import (
     sample_power_law,
     save_workload,
 )
+
+from conftest import FakeProbe
 
 CORPUS_FILES = 100_000
 CORPUS_SEED = 20_260_808

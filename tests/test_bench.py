@@ -21,11 +21,11 @@ from ppcstore.corpus import write_corpus
 from ppcstore.engine import KIB, MIB, StoreConfig
 from ppcstore.errors import IntegrityError
 from ppcstore.extsort import sorted_pairs
-from ppcstore.metrics import FakeProbe, NullProbe
+from ppcstore.metrics import NullProbe
 from ppcstore.synth import generate_records
 from ppcstore.workload import Distribution
 
-from conftest import small_synth_spec
+from conftest import FakeProbe, small_synth_spec
 
 
 def bench_config(data_dir, codec="zstd:3", block_kib=64, **overrides) -> StoreConfig:

@@ -4,19 +4,25 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ppcstore.codec import Algorithm, CodecSpec
 from ppcstore.engine import KIB, MIB, Engine, StoreConfig, open_store
 from ppcstore.errors import (
     BatchAbortedError,
     CapacityError,
     ConfigError,
+    IntegrityError,
     RecoveryError,
 )
 from ppcstore.keys import PpcKey
-from ppcstore.sstable import SSTable
+from ppcstore.sstable import SSTable, build_table
 
 from conftest import make_store_config
 
@@ -52,6 +58,13 @@ class TestOpenAndConfig:
         with pytest.raises(ConfigError):
             StoreConfig(data_dir=tmp_path, write_buffer_bytes=1024)
 
+    def test_tiny_block_size_rejected_before_any_file_is_written(self, tmp_path):
+        # a store that accepted it would ack WAL writes and then fail every flush
+        d = tmp_path / "store"
+        with pytest.raises(ConfigError):
+            open_store(make_store_config(d, target_block_size=512))
+        assert not d.exists()
+
     def test_corrupt_manifest_raises_recovery_error(self, tmp_path):
         d = tmp_path / "store"
         with open_store(make_store_config(d)) as engine:
@@ -82,15 +95,6 @@ class TestOpenAndConfig:
         with open_store(make_store_config(d)) as engine:
             assert engine.get(key(1)) == b"x"
         assert not orphan.exists()
-
-    def test_mmap_reads_flag_serves_identical_data(self, tmp_path):
-        d = tmp_path / "store"
-        with open_store(make_store_config(d)) as engine:
-            data = fill(engine, 300)
-            engine.flush()
-        with open_store(make_store_config(d, mmap_reads=True)) as engine:
-            for k, v in data.items():
-                assert engine.get(k) == v
 
     def test_effective_codec_reflects_stored_tables(self, tmp_path):
         d = tmp_path / "store"
@@ -449,3 +453,151 @@ class TestWalRetirement:
         with open_store(config) as engine:
             fill(engine, 40, value_size=50_000)
             assert len(engine.stats()["tables"]) >= 1
+
+
+class TestCompactionOutput:
+    def test_l1_tables_equal_an_independent_build(self, tmp_path):
+        """Each L1 table is build_table over the live entries, cut where the
+        key plus state-prefixed value bytes first reach write_buffer_bytes."""
+        identity = CodecSpec(Algorithm.IDENTITY)
+        config = make_store_config(tmp_path / "store", codec=identity, write_buffer_bytes=1 * MIB)
+        rnd = random.Random(11)
+        model: dict[bytes, bytes] = {}
+        with open_store(config) as engine:
+            for _ in range(4):
+                for _ in range(900):
+                    k = key(rnd.randrange(3_000)).encoded()
+                    if rnd.random() < 0.15:
+                        engine.delete_encoded(k)
+                        model.pop(k, None)
+                    else:
+                        model[k] = rnd.randbytes(rnd.randrange(500, 2_500))
+                        engine.put_encoded(k, model[k])
+                engine.flush()
+            # the first 1024 live entries then hold exactly 1 MiB: the first
+            # table must close on that boundary, not one entry later
+            for i in range(1_024):
+                k = key(i).encoded()
+                model[k] = rnd.randbytes(1_023 - len(k))
+                engine.put_encoded(k, model[k])
+            engine.flush()
+            engine.compact()
+            l1_paths = [Path(t.path) for t in engine._tables[1]]
+        assert len(l1_paths) >= 3
+
+        runs, run, size = [], [], 0
+        for k in sorted(model):
+            wrapped = b"\x00" + model[k]  # live-value state byte
+            run.append((k, wrapped))
+            size += len(k) + len(wrapped)
+            if size >= config.write_buffer_bytes:
+                runs.append(run)
+                run, size = [], 0
+        if run:
+            runs.append(run)
+        assert len(runs) == len(l1_paths)
+        for i, (path, run) in enumerate(zip(l1_paths, runs)):
+            oracle = tmp_path / f"oracle-{i}.ppcs"
+            build_table(
+                oracle,
+                run,
+                target_block_size=config.target_block_size,
+                codec=identity,
+                bits_per_key=config.bits_per_key,
+            )
+            assert path.read_bytes() == oracle.read_bytes(), path.name
+
+    def test_failed_compaction_leaves_nothing_behind(self, tmp_path):
+        d = tmp_path / "store"
+        rnd = random.Random(12)
+        model: dict[bytes, bytes] = {}
+        with open_store(make_store_config(d, write_buffer_bytes=1 * MIB)) as engine:
+            for i in range(3_000):
+                model[key(i).encoded()] = rnd.randbytes(1_000)
+                engine.put_encoded(key(i).encoded(), model[key(i).encoded()])
+            engine.flush()
+            engine.compact()
+            l1 = engine._tables[1]
+            assert len(l1) >= 3
+            # a middle block of a later table: the merge opens every input's
+            # first block, and completes an output table, before reaching it
+            victim = l1[1]
+            mid = victim.block_count // 2
+            bad_lo, bad_hi = victim.first_keys[mid], victim.first_keys[mid + 1]
+            with open(victim.path, "r+b") as f:
+                f.seek((victim.block_offsets[mid] + victim.block_offsets[mid + 1]) // 2)
+                byte = f.read(1)
+                f.seek(-1, os.SEEK_CUR)
+                f.write(bytes([byte[0] ^ 0xFF]))
+            for i in range(0, 3_000, 7):
+                model[key(i).encoded()] = b"newer-%05d" % i
+                engine.put_encoded(key(i).encoded(), model[key(i).encoded()])
+            engine.flush()
+
+            listing = sorted(os.listdir(d))
+            manifest = (d / "MANIFEST").read_bytes()
+            with pytest.raises(IntegrityError):
+                engine.compact()
+            assert sorted(os.listdir(d)) == listing
+            assert (d / "MANIFEST").read_bytes() == manifest
+            for k, v in model.items():
+                if not bad_lo <= k < bad_hi:
+                    assert engine.get_encoded(k) == v
+
+
+# Dict-model property test: a few keys so versions collide across the
+# memtable, L0 and L1; values that span 8 KiB blocks, two of which fill the
+# 1 MiB write buffer and so split compaction output into several L1 tables.
+_MODEL_KEYS = [b"py\x00m%02d\x00id" % i for i in range(6)]
+_MODEL_MISSES = [b"", b"a", b"py\x00m05", b"py\x00m99\x00id"]
+_VALUE_SIZES = [0, 100, 9_000, 700_000]
+_model_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(_MODEL_KEYS),
+            st.sampled_from(_VALUE_SIZES),
+            st.integers(0, 255),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(_MODEL_KEYS)),
+        st.sampled_from([("flush",), ("compact",), ("reopen",)]),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _assert_matches_model(engine: Engine, model: dict[bytes, bytes]) -> None:
+    for k in _MODEL_KEYS + _MODEL_MISSES:
+        assert engine.get_encoded(k) == model.get(k)
+    batch = _MODEL_KEYS[::-1] + _MODEL_MISSES + _MODEL_KEYS[::3]  # misses, duplicates
+    assert engine.multi_get_encoded(batch) == [model.get(k) for k in batch]
+    assert dict(engine.live_entries()) == model
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_model_ops)
+def test_engine_matches_dict_model(ops):
+    model: dict[bytes, bytes] = {}
+    with tempfile.TemporaryDirectory() as d:
+        config = make_store_config(d, write_buffer_bytes=1 * MIB)
+        engine = open_store(config)
+        try:
+            for op in ops:
+                if op[0] == "put":
+                    _, k, size, fill_byte = op
+                    model[k] = bytes([fill_byte]) * size
+                    engine.put_encoded(k, model[k])
+                elif op[0] == "delete":
+                    model.pop(op[1], None)
+                    engine.delete_encoded(op[1])
+                elif op[0] == "flush":
+                    engine.flush()
+                elif op[0] == "compact":
+                    engine.compact()
+                else:
+                    engine.close()
+                    engine = open_store(config)
+                _assert_matches_model(engine, model)
+        finally:
+            engine.close()

@@ -8,7 +8,6 @@ import pytest
 from ppcstore.errors import ReportFieldError
 from ppcstore.metrics import (
     CSV_HEADER,
-    FakeProbe,
     Measurement,
     NullProbe,
     PowercapProbe,
@@ -21,6 +20,8 @@ from ppcstore.metrics import (
     throughput_mib_s,
     write_report_csv,
 )
+
+from conftest import FakeProbe
 
 
 class TestMeasure:

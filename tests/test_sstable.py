@@ -40,24 +40,24 @@ class TestBuildPacking:
         expected = simulate_packing(entries, 4096)
         assert expected == [4, 4, 2]  # frozen from the oracle
         path = tmp_path / "t.ppcs"
-        result = build_table(path, entries, target_block_size=4096, codec=IDENTITY)
-        assert result.block_count == 3
+        build_table(path, entries, target_block_size=4096, codec=IDENTITY)
         with SSTable(path) as table:
+            assert table.block_count == 3
             per_block = [len(table.load_block(i)[0]) for i in range(table.block_count)]
             assert per_block == expected
 
     def test_oversized_entry_gets_own_block(self, tmp_path):
         entries = [(b"big", b"z" * (1 << 20))]
-        result = build_table(tmp_path / "t.ppcs", entries, target_block_size=4096, codec=ZSTD3)
-        assert result.block_count == 1
+        build_table(tmp_path / "t.ppcs", entries, target_block_size=4096, codec=ZSTD3)
         with SSTable(tmp_path / "t.ppcs") as table:
+            assert table.block_count == 1
             assert table.get(b"big") == b"z" * (1 << 20)
 
     def test_empty_table_is_valid(self, tmp_path):
         path = tmp_path / "empty.ppcs"
-        result = build_table(path, [], target_block_size=4096, codec=ZSTD3)
-        assert result.block_count == 0 and result.entry_count == 0
+        build_table(path, [], target_block_size=4096, codec=ZSTD3)
         with SSTable(path) as table:
+            assert table.block_count == 0 and table.entry_count == 0
             assert table.get(b"anything") is None
             assert table.blocks_read == 0
             assert list(table.scan()) == []
@@ -191,8 +191,9 @@ class TestBlockSizeTradeoff:
         ratios = {}
         for kib in (4, 16, 64, 128):
             path = tmp_path / f"b{kib}.ppcs"
-            result = build_table(path, entries, target_block_size=kib * 1024, codec=CodecSpec.parse("zstd:6"))
-            ratios[kib] = result.compressed_bytes_total / result.raw_bytes_total
+            build_table(path, entries, target_block_size=kib * 1024, codec=CodecSpec.parse("zstd:6"))
+            with SSTable(path) as t:
+                ratios[kib] = t.compressed_bytes_total / t.raw_bytes_total
         assert ratios[128] <= ratios[64] <= ratios[16] <= ratios[4]
 
     def test_larger_blocks_decompress_more_per_get(self, tmp_path):
@@ -246,13 +247,3 @@ class TestCorruptionAndFormat:
         path.write_bytes(b"tiny")
         with pytest.raises(FormatError):
             SSTable(path)
-
-
-class TestMmapPath:
-    def test_mmap_reads_match_pread(self, tmp_path):
-        entries = entries_of(300, value_size=100)
-        path = tmp_path / "m.ppcs"
-        build_table(path, entries, target_block_size=4096, codec=ZSTD3)
-        with SSTable(path, use_mmap=True) as m, SSTable(path) as p:
-            for key, value in entries:
-                assert m.get(key) == value == p.get(key)

@@ -8,6 +8,13 @@ be loaded, snappy falls back to the pure-Python raw-format codec in
 slower, so snappy timings taken without libsnappy say nothing about
 snappy's speed. Each algorithm carries a stable 1-byte tag so compressed
 blocks are self-describing on disk.
+
+zstd state is per thread: each thread creates one compression context, one
+decompression context and one output buffer on first use and reuses them for
+every later call, so a call sets up no context or buffer and returns its
+bytes with one copy out of the buffer. An output above REUSED_BUFFER_LIMIT
+gets a one-off buffer, so no thread keeps more than that limit. Both contexts
+are freed when their thread exits.
 """
 
 import ctypes
@@ -15,6 +22,7 @@ import ctypes.util
 import enum
 import logging
 import threading
+import weakref
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +37,10 @@ DEFLATE_MIN_LEVEL, DEFLATE_MAX_LEVEL = 1, 9
 
 # Guard against corrupt headers requesting absurd output buffers.
 MAX_REASONABLE_RAW = 1 << 31
+
+# Largest zstd output a thread's reused buffer grows to; a bigger one gets a
+# buffer of its own, so an odd huge block does not stay pinned per thread.
+REUSED_BUFFER_LIMIT = 4 << 20
 
 
 class Algorithm(enum.Enum):
@@ -99,17 +111,19 @@ def _zstd():
         raise CodecConfigError(f"libzstd not available: {exc}") from exc
     lib.ZSTD_compressBound.restype = ctypes.c_size_t
     lib.ZSTD_compressBound.argtypes = [ctypes.c_size_t]
-    lib.ZSTD_createCCtx.restype = ctypes.c_void_p
-    lib.ZSTD_createCCtx.argtypes = []
+    for kind in ("CCtx", "DCtx"):
+        create, free = getattr(lib, f"ZSTD_create{kind}"), getattr(lib, f"ZSTD_free{kind}")
+        create.restype, create.argtypes = ctypes.c_void_p, []
+        free.restype, free.argtypes = ctypes.c_size_t, [ctypes.c_void_p]
     lib.ZSTD_CCtx_setParameter.restype = ctypes.c_size_t
     lib.ZSTD_CCtx_setParameter.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
     lib.ZSTD_compress2.restype = ctypes.c_size_t
     lib.ZSTD_compress2.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t,
     ]
-    lib.ZSTD_decompress.restype = ctypes.c_size_t
-    lib.ZSTD_decompress.argtypes = [
-        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t,
+    lib.ZSTD_decompressDCtx.restype = ctypes.c_size_t
+    lib.ZSTD_decompressDCtx.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t,
     ]
     lib.ZSTD_isError.restype = ctypes.c_uint
     lib.ZSTD_isError.argtypes = [ctypes.c_size_t]
@@ -118,18 +132,57 @@ def _zstd():
     return lib
 
 
+class _ZstdState:
+    """One thread's zstd contexts, each made on first use, and output buffer.
+
+    A weakref.finalize per context frees it when the thread exits and drops
+    this object. Contexts of threads still running at interpreter exit are
+    left to the OS: a daemon thread may be inside a zstd call then.
+    """
+
+    __slots__ = ("lib", "cctx", "dctx", "buf", "__weakref__")
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.cctx = self.dctx = None
+        self.buf = ctypes.create_string_buffer(0)
+
+    def _context(self, kind: str) -> int:
+        ctx = getattr(self.lib, f"ZSTD_create{kind}")()
+        if not ctx:
+            raise CodecConfigError(f"ZSTD_create{kind} failed")
+        weakref.finalize(self, getattr(self.lib, f"ZSTD_free{kind}"), ctx).atexit = False
+        return ctx
+
+    def compressor(self) -> int:
+        if self.cctx is None:
+            self.cctx = self._context("CCtx")
+            # frame checksum so single-byte corruption is always detectable
+            self.lib.ZSTD_CCtx_setParameter(self.cctx, _ZSTD_C_CHECKSUM_FLAG, 1)
+        return self.cctx
+
+    def decompressor(self) -> int:
+        if self.dctx is None:
+            self.dctx = self._context("DCtx")
+        return self.dctx
+
+    def output(self, size: int):
+        """A buffer of at least size bytes; the thread's own up to the limit."""
+        if size > REUSED_BUFFER_LIMIT:
+            return ctypes.create_string_buffer(size)
+        if len(self.buf) < size:
+            self.buf = ctypes.create_string_buffer(size)
+        return self.buf
+
+
 _zstd_tls = threading.local()
 
 
-def _zstd_cctx(lib):
-    """Per-thread compression context; params set per call."""
-    cctx = getattr(_zstd_tls, "cctx", None)
-    if cctx is None:
-        cctx = lib.ZSTD_createCCtx()
-        if not cctx:
-            raise CodecConfigError("ZSTD_createCCtx failed")
-        _zstd_tls.cctx = cctx
-    return cctx
+def _zstd_state() -> _ZstdState:
+    state = getattr(_zstd_tls, "state", None)
+    if state is None:
+        state = _zstd_tls.state = _ZstdState(_zstd())
+    return state
 
 
 @lru_cache(maxsize=None)
@@ -173,17 +226,16 @@ def compress(raw: bytes, spec: CodecSpec) -> bytes:
     if algo is Algorithm.DEFLATE:
         return zlib.compress(raw, spec.level)
     if algo is Algorithm.ZSTD:
-        lib = _zstd()
-        cctx = _zstd_cctx(lib)
+        state = _zstd_state()
+        lib = state.lib
+        cctx = state.compressor()
         lib.ZSTD_CCtx_setParameter(cctx, _ZSTD_C_COMPRESSION_LEVEL, spec.level)
-        # frame checksum so single-byte corruption is always detectable
-        lib.ZSTD_CCtx_setParameter(cctx, _ZSTD_C_CHECKSUM_FLAG, 1)
         bound = lib.ZSTD_compressBound(len(raw))
-        dst = ctypes.create_string_buffer(bound)
+        dst = state.output(bound)
         written = lib.ZSTD_compress2(cctx, dst, bound, raw, len(raw))
         if lib.ZSTD_isError(written):
             raise CodecConfigError(f"zstd compression failed (level {spec.level})")
-        return dst.raw[:written]
+        return memoryview(dst)[:written].tobytes()
     if algo is Algorithm.SNAPPY:
         lib = _snappy()
         if lib is None:
@@ -216,7 +268,8 @@ def decompress(compressed: bytes, spec: CodecSpec, expected_size: int | None = N
         except zlib.error as exc:
             raise IntegrityError(f"deflate payload corrupt: {exc}") from exc
     elif algo is Algorithm.ZSTD:
-        lib = _zstd()
+        state = _zstd_state()
+        lib = state.lib
         size = expected_size
         if size is None:
             raw = lib.ZSTD_getFrameContentSize(compressed, len(compressed))
@@ -224,11 +277,13 @@ def decompress(compressed: bytes, spec: CodecSpec, expected_size: int | None = N
             if raw >= 2**64 - 2 or raw > MAX_REASONABLE_RAW:
                 raise IntegrityError("zstd frame header corrupt or size unknown")
             size = raw
-        dst = ctypes.create_string_buffer(max(size, 1))
-        written = lib.ZSTD_decompress(dst, size, compressed, len(compressed))
+        dst = state.output(size)
+        written = lib.ZSTD_decompressDCtx(
+            state.decompressor(), dst, size, compressed, len(compressed)
+        )
         if lib.ZSTD_isError(written):
             raise IntegrityError("zstd payload corrupt")
-        out = dst.raw[:written]
+        out = memoryview(dst)[:written].tobytes()
     elif algo is Algorithm.SNAPPY and _snappy() is None:
         out = rawsnappy.decompress(compressed, MAX_REASONABLE_RAW)
     elif algo is Algorithm.SNAPPY:

@@ -202,6 +202,7 @@ class SSTable:
             if index_offset + index_length > size or bloom_offset + bloom_length > size:
                 raise FormatError(f"{self.path}: section handles beyond end of file")
             self.codec = codec_mod.spec_from_tag(algo_tag, level)
+            self._block_codec = (algo_tag, level)
             self.bloom = BloomFilter.from_bytes(self._read_at(bloom_offset, bloom_length))
             self._parse_index(self._read_at(index_offset, index_length))
             self._data_end = bloom_offset
@@ -266,7 +267,14 @@ class SSTable:
             raise IntegrityError(
                 f"{self.path}: CRC mismatch in block {idx} at offset {self.block_offsets[idx]}"
             )
-        raw = codec_mod.decompress(payload, codec_mod.spec_from_tag(algo_tag, level), raw_len)
+        # The CRC covers only the payload, so a block naming another codec
+        # than the footer's is corrupt, not a configuration to obey.
+        if (algo_tag, level) != self._block_codec:
+            raise IntegrityError(
+                f"{self.path}: block {idx} names codec tag {algo_tag} level {level}, "
+                f"table is {self.codec}"
+            )
+        raw = codec_mod.decompress(payload, self.codec, raw_len)
         with self._counter_lock:
             self.blocks_read += 1
             self.bytes_decompressed += raw_len

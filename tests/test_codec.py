@@ -1,14 +1,20 @@
 """Compression layer: round trips, corruption handling, ratio arithmetic."""
 
+import collections
 import logging
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppcstore import codec as codec_mod
 from ppcstore import rawsnappy
 from ppcstore.codec import (
     MAX_REASONABLE_RAW,
+    REUSED_BUFFER_LIMIT,
     Algorithm,
     CodecSpec,
     compress,
@@ -16,6 +22,7 @@ from ppcstore.codec import (
     decompress,
 )
 from ppcstore.errors import CodecConfigError, IntegrityError, UndefinedRatioError
+from ppcstore.sstable import build_table
 
 BLOCK = 16 * 1024
 SIZES = [0, 1, BLOCK - 1, BLOCK, 4 * BLOCK]
@@ -121,6 +128,137 @@ class TestCorruption:
     def test_zstd_garbage_frame_rejected(self):
         with pytest.raises(IntegrityError):
             decompress(b"not a zstd frame at all", CodecSpec.parse("zstd:3"))
+
+
+def flip_bit(frame: bytes, bit: int) -> bytes:
+    out = bytearray(frame)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def run_threads(target, count: int) -> None:
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+
+
+@pytest.fixture
+def live_zstd_contexts(monkeypatch):
+    """Counts, by kind, the zstd contexts made from here on and not yet freed."""
+    lib = codec_mod._zstd()
+    live = collections.Counter()
+    lock = threading.Lock()
+    for kind in ("CCtx", "DCtx"):
+        create = getattr(lib, f"ZSTD_create{kind}")
+        free = getattr(lib, f"ZSTD_free{kind}")
+
+        def counted_create(create=create, kind=kind):
+            ctx = create()
+            with lock:
+                live[kind] += 1
+            return ctx
+
+        def counted_free(ctx, free=free, kind=kind):
+            with lock:
+                live[kind] -= 1
+            return free(ctx)
+
+        monkeypatch.setattr(lib, f"ZSTD_create{kind}", counted_create)
+        monkeypatch.setattr(lib, f"ZSTD_free{kind}", counted_free)
+    return live
+
+
+class TestPerThreadZstdState:
+    SPEC = CodecSpec.parse("zstd:3")
+
+    def test_contexts_freed_when_threads_exit(self, live_zstd_contexts):
+        payload = random_payload(BLOCK, seed=6)
+        results = []
+
+        def work(_):
+            for _ in range(3):
+                results.append(decompress(compress(payload, self.SPEC), self.SPEC) == payload)
+
+        for _ in range(5):
+            run_threads(work, 4)
+        assert results == [True] * 60
+        assert live_zstd_contexts == {"CCtx": 0, "DCtx": 0}
+
+    def test_table_builds_leave_no_contexts_behind(self, tmp_path, live_zstd_contexts):
+        # each build starts its own compression pool, whose threads exit with it
+        entries = [(b"k%04d" % i, random_payload(300, seed=i)) for i in range(200)]
+        for i in range(40):
+            build_table(tmp_path / f"t{i}.ppcs", entries, target_block_size=4096,
+                        codec=self.SPEC, compress_threads=2)
+        assert live_zstd_contexts == {"CCtx": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3 * BLOCK), st.integers(0, 2**32 - 1), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([1, 3, 9]),
+    )
+    def test_reuse_never_aliases_and_still_rejects_corruption(self, ops, level):
+        spec = CodecSpec(Algorithm.ZSTD, level)
+        kept = []
+        for size, seed, corrupt in ops:
+            payload = random_payload(size, seed)
+            frame = compress(payload, spec)
+            assert type(frame) is bytes
+            if corrupt:
+                bad = flip_bit(frame, seed % (len(frame) * 8))
+                try:
+                    out = decompress(bad, spec, expected_size=size)
+                except IntegrityError:
+                    continue
+                # zstd ignores a few bits, such as the frame header's unused
+                # bit; a flip there may decode, but only to the exact input
+                assert out == payload
+                continue
+            out = decompress(frame, spec, expected_size=size if seed % 2 else None)
+            assert type(out) is bytes and out == payload
+            kept.append((out, payload, frame))
+        for out, payload, frame in kept:
+            assert out == payload
+            assert decompress(frame, spec) == payload
+
+    def test_output_above_reuse_limit(self):
+        size = REUSED_BUFFER_LIMIT + 12_345
+        payload = random_payload(size, seed=11)
+        small = random_payload(BLOCK, seed=12)
+        small_out = decompress(compress(small, self.SPEC), self.SPEC)
+        frame = compress(payload, self.SPEC)
+        assert decompress(frame, self.SPEC, expected_size=size) == payload
+        assert decompress(frame, self.SPEC) == payload
+        with pytest.raises(IntegrityError):
+            decompress(flip_bit(frame, len(frame) * 8 - 3), self.SPEC, expected_size=size)
+        assert small_out == small
+        assert len(codec_mod._zstd_state().buf) <= REUSED_BUFFER_LIMIT
+
+    def test_threads_round_trip_concurrently(self):
+        spec = CodecSpec.parse("zstd:1")
+        failures = []
+
+        def work(worker):
+            rnd = random.Random(worker)
+            for i in range(300):
+                payload = random_payload(rnd.randrange(4 * BLOCK), seed=worker * 1000 + i)
+                if decompress(compress(payload, spec), spec, expected_size=len(payload)) != payload:
+                    failures.append((worker, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(work, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class TestCompressionBehaviour:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,21 @@ class TestMultiGet:
             engine.multi_get(shuffled)
             shuffled_reads = engine.read_counters()[0] - before
             assert sorted_reads <= shuffled_reads
+
+    def test_values_from_several_blocks_of_one_table_stay_intact(self, tmp_path):
+        # the batch keeps each block's decompressed bytes while later blocks
+        # are decompressed on the same thread, so none may share a buffer
+        config = make_store_config(tmp_path / "store", target_block_size=4 * KIB)
+        with open_store(config) as engine:
+            data = fill(engine, 300, value_size=1000, seed=9)
+            engine.flush()
+            (table,) = engine._tables[0]
+            batch = [key(i) for i in range(0, 300, 7)] + [key(3), key(150), key(297)]
+            blocks = {bisect_right(table.first_keys, k.encoded()) - 1 for k in batch}
+            assert len(blocks) > 10
+            values = engine.multi_get(batch)
+            engine.multi_get([key(i) for i in range(1, 300, 5)])
+            assert values == [data[k] for k in batch]
 
     def test_integrity_error_aborts_batch(self, tmp_path):
         d = tmp_path / "store"

@@ -227,6 +227,20 @@ class TestCorruptionAndFormat:
                 for i in range(t.block_count):
                     t.load_block(i)
 
+    @pytest.mark.parametrize("offset,value", [(1, 0), (1, 4), (1, 30), (0, 0)],
+                             ids=["level0", "level4", "level30", "algo0"])
+    def test_block_codec_bytes_unlike_footer_raise_integrity_error(self, tmp_path, offset, value):
+        # the block CRC does not cover [1B algo][1B level]; the reader checks
+        # them against the footer's codec
+        path = self._build(tmp_path)
+        blob = bytearray(path.read_bytes())
+        assert blob[:2] == bytes([ZSTD3.algorithm.tag, ZSTD3.level])
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with SSTable(path) as t:
+            with pytest.raises(IntegrityError):
+                t.get(t.first_key)
+
     def test_truncated_file_raises_format_error(self, tmp_path):
         path = self._build(tmp_path)
         blob = path.read_bytes()

@@ -15,6 +15,7 @@ import os
 import re
 import threading
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -47,6 +48,13 @@ _WAL_RE = re.compile(r"^wal-(\d+)\.log$")
 # versions until compaction drops both.
 _LIVE = b"\x00"
 _TOMB = b"\x01"
+
+# Single gets keep stored values of hot keys in a cache of this many value
+# bytes. A value is admitted when a table returns it again while its key is
+# in a ghost set of up to _GHOST_KEYS keys read once, emptied when full, so
+# keys read once never displace it.
+VALUE_CACHE_BYTES = 4 * MIB
+_GHOST_KEYS = 512
 
 
 class _Tombstone:
@@ -105,6 +113,7 @@ class Engine:
         self._seq = 0
         self._wal: wal_mod.WalWriter | None = None
         self._replayed_wals: list[Path] = []
+        self._values = _ValueCache(VALUE_CACHE_BYTES)
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -224,6 +233,7 @@ class Engine:
             l0, l1, _ = self._tables
             for t in l0 + l1:
                 t.close()
+            self._values = _ValueCache(VALUE_CACHE_BYTES)  # drop cached values
 
     def __enter__(self) -> "Engine":
         return self
@@ -379,7 +389,7 @@ class Engine:
         return self.get_encoded(key.encoded())
 
     def get_encoded(self, key: bytes) -> bytes | None:
-        return _lookup(key, self._memtable, self._tables)
+        return _lookup(key, self._memtable, self._tables, self._values.fetch)
 
     def multi_get(self, keys: list[PpcKey]) -> list[bytes | None]:
         return self.multi_get_encoded([k.encoded() for k in keys])
@@ -389,11 +399,15 @@ class Engine:
         sorted order, sharing decompressed blocks within the call."""
         memtable, tables = self._memtable, self._tables
         caches: dict[int, dict] = {}
+
+        def fetch(table: SSTable, key: bytes) -> bytes | None:
+            return table.get(key, caches.setdefault(table.uid, {}))
+
         results: dict[bytes, bytes | None] = {}
         completed = 0
         for key in sorted(set(keys)):
             try:
-                results[key] = _lookup(key, memtable, tables, caches)
+                results[key] = _lookup(key, memtable, tables, fetch)
             except IntegrityError as exc:
                 raise BatchAbortedError(
                     f"batch aborted after {completed} keys: {exc}", completed
@@ -429,8 +443,6 @@ class Engine:
             os.path.basename(t.path): {
                 "level": 0 if t in l0 else 1,
                 "entries": t.entry_count,
-                "blocks_read": t.blocks_read,
-                "bytes_decompressed": t.bytes_decompressed,
             }
             for t in l0 + l1
         }
@@ -441,6 +453,7 @@ class Engine:
             "ratio": (comp / raw) if raw > 0 else None,
             "memtable_bytes": self._memtable_raw,
             "tables": per_table,
+            "value_cache": self._values.stats(),
         }
 
     def read_counters(self) -> tuple[int, int]:
@@ -463,8 +476,8 @@ class Engine:
         return self.config.codec, self.config.target_block_size
 
 
-def _lookup(key: bytes, memtable: dict, tables: tuple, caches: dict | None = None) -> bytes | None:
-    """Newest version of key; caches maps id(table) to a multi-get's block cache."""
+def _lookup(key: bytes, memtable: dict, tables: tuple, fetch) -> bytes | None:
+    """Newest version of key; fetch(table, key) reads one table's stored value."""
     value = memtable.get(key)
     if value is not None:
         return None if value is TOMBSTONE else value
@@ -473,11 +486,81 @@ def _lookup(key: bytes, memtable: dict, tables: tuple, caches: dict | None = Non
     if idx >= 0 and l1[idx].covers(key):
         l0 += (l1[idx],)
     for table in l0:
-        cache = None if caches is None else caches.setdefault(id(table), {})
-        wrapped = table.get(key, cache)
+        wrapped = fetch(table, key)
         if wrapped is not None:
             return _unwrap(wrapped)
     return None
+
+
+class _ValueCache:
+    """Bounded map of key to [uid, wrapped, referenced]: the stored value,
+    tombstones included, that the table with that uid holds for key. A hit
+    needs both to match, and tables are immutable, so no entry goes stale;
+    a key keeps one entry, replaced when a newer table's value is admitted.
+
+    A hit is a dict read without a lock. Inserts and CLOCK (second chance)
+    evictions take one lock, which also guards the counters.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: dict[bytes, list] = {}
+        self._clock: deque[bytes] = deque()
+        self._ghost: set[bytes] = set()  # keys read once since it last filled
+        self._lock = threading.Lock()
+        self._bytes = 0
+        self._admissions = 0
+        self._evictions = 0
+
+    def fetch(self, table: SSTable, key: bytes) -> bytes | None:
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] == table.uid:
+            entry[2] = True
+            return entry[1]
+        wrapped = table.get(key)
+        if wrapped is not None and len(wrapped) <= self.capacity:
+            if key in self._ghost:
+                self._admit(table.uid, key, wrapped)
+            else:
+                # races between threads only change which keys the ghost
+                # holds, so it takes no lock
+                if len(self._ghost) >= _GHOST_KEYS:
+                    self._ghost.clear()
+                self._ghost.add(key)
+        return wrapped
+
+    def _admit(self, uid: int, key: bytes, wrapped: bytes) -> None:
+        with self._lock:
+            old = self._entries.get(key)
+            if old is None:
+                self._clock.append(key)
+            else:  # another table's value, or another thread's admission
+                self._bytes -= len(old[1])
+            # a new list, never an update in place, so a hit reads one
+            # consistent entry; referenced, so this pass cannot evict it
+            self._entries[key] = [uid, wrapped, True]
+            self._bytes += len(wrapped)
+            while self._bytes > self.capacity:
+                victim = self._clock.popleft()
+                entry = self._entries[victim]
+                if entry[2]:
+                    entry[2] = False
+                    self._clock.append(victim)
+                else:
+                    del self._entries[victim]
+                    self._bytes -= len(entry[1])
+                    self._evictions += 1
+            self._admissions += 1
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "capacity": self.capacity,
+                "bytes": self._bytes,
+                "entries": len(self._entries),
+                "admissions": self._admissions,
+                "evictions": self._evictions,
+            }
 
 
 def _tagged(stream: Iterable[tuple[bytes, bytes]], prio: int) -> Iterator[tuple[bytes, int, bytes]]:

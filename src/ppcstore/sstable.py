@@ -21,6 +21,7 @@ Blocks close when their raw payload reaches the target size; an entry never
 splits across blocks, so a single oversized entry forms its own block.
 """
 
+import itertools
 import os
 import struct
 import threading
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator
 from . import codec as codec_mod
 from .bloom import BloomFilter
 from .codec import CodecSpec
-from .errors import ConfigError, FormatError, IntegrityError, SortViolationError
+from .errors import CodecConfigError, ConfigError, FormatError, IntegrityError, SortViolationError
 
 MAGIC = b"PPCS"
 FORMAT_VERSION = 1
@@ -43,6 +44,9 @@ _BLOCK_HEADER = struct.Struct("<BBI")  # algo tag, level, raw length
 _CRC = struct.Struct("<I")
 _FOOTER = struct.Struct("<QIQIQQQIBBH4x4s")
 assert _FOOTER.size == 64
+
+# Process-unique reader ids: unlike id(), never reused once a table is gone.
+_UIDS = itertools.count()
 
 
 def _pack_block(payload: bytes, spec: CodecSpec, raw_len: int) -> bytes:
@@ -168,11 +172,13 @@ class SSTable:
     Every read is a pread on the one file descriptor the reader holds open
     until close(). Every data-block decompression bumps blocks_read /
     bytes_decompressed, which the lookup tests use to prove blooms and the
-    index keep point reads to at most one block.
+    index keep point reads to at most one block. uid is unique in the
+    process, so caches of values read from a table can key on it.
     """
 
     def __init__(self, path):
         self.path = str(path)
+        self.uid = next(_UIDS)
         self._fd = os.open(self.path, os.O_RDONLY)
         self._counter_lock = threading.Lock()
         self.blocks_read = 0
@@ -201,7 +207,10 @@ class SSTable:
                 raise FormatError(f"{self.path}: unsupported format version {version}")
             if index_offset + index_length > size or bloom_offset + bloom_length > size:
                 raise FormatError(f"{self.path}: section handles beyond end of file")
-            self.codec = codec_mod.spec_from_tag(algo_tag, level)
+            try:
+                self.codec = codec_mod.spec_from_tag(algo_tag, level)
+            except (CodecConfigError, IntegrityError) as exc:
+                raise FormatError(f"{self.path}: footer names no codec: {exc}") from exc
             self._block_codec = (algo_tag, level)
             self.bloom = BloomFilter.from_bytes(self._read_at(bloom_offset, bloom_length))
             self._parse_index(self._read_at(index_offset, index_length))
@@ -318,27 +327,11 @@ class SSTable:
             return raw[bounds[pos] + _ENTRY_HEADER.size + len(key) : bounds[pos + 1]]
         return None
 
-    def scan(
-        self, from_key: bytes | None = None, to_key: bytes | None = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """All entries with from_key <= key < to_key, in key order."""
-        if from_key is not None and to_key is not None and from_key > to_key:
-            raise ValueError("from_key must not exceed to_key")
-        if not self.block_offsets:
-            return
-        start = 0
-        if from_key is not None:
-            start = max(0, bisect_right(self.first_keys, from_key) - 1)
-        for idx in range(start, len(self.block_offsets)):
-            if to_key is not None and self.first_keys[idx] >= to_key:
-                return
+    def scan(self) -> Iterator[tuple[bytes, bytes]]:
+        """All entries in key order."""
+        for idx in range(len(self.block_offsets)):
             keys, values = self.load_block(idx)
-            for key, value in zip(keys, values):
-                if from_key is not None and key < from_key:
-                    continue
-                if to_key is not None and key >= to_key:
-                    return
-                yield key, value
+            yield from zip(keys, values)
 
     def covers(self, key: bytes) -> bool:
         return (

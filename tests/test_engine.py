@@ -1,5 +1,6 @@
 """Engine semantics: durability, shadowing, capacity, compaction, counters."""
 
+import gc
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ppcstore.codec import Algorithm, CodecSpec
-from ppcstore.engine import KIB, MIB, Engine, StoreConfig, open_store
+from ppcstore.engine import KIB, MIB, VALUE_CACHE_BYTES, Engine, StoreConfig, open_store
 from ppcstore.errors import (
     BatchAbortedError,
     CapacityError,
@@ -452,6 +453,136 @@ class TestConcurrency:
         assert live[key(6).encoded()] == data[key(6)]
 
 
+class TestValueCache:
+    def test_admits_on_second_miss_within_its_bound(self, tmp_path):
+        config = make_store_config(tmp_path / "store", codec=CodecSpec(Algorithm.IDENTITY))
+        with open_store(config) as engine:
+            rnd = random.Random(4)
+            data = {}
+            for i in range(12):  # 100 to 800 KiB: one eviction may not make room
+                data[key(i)] = rnd.randbytes(100 * KIB * (1 + i * 5 % 8))
+                engine.put(key(i), data[key(i)])
+            big = key(99)
+            data[big] = b"b" * VALUE_CACHE_BYTES  # the state byte takes it past the bound
+            engine.put(big, data[big])
+            engine.flush()
+
+            for k in data:
+                assert engine.get(k) == data[k]
+            cache = engine.stats()["value_cache"]
+            assert (cache["entries"], cache["bytes"], cache["admissions"]) == (0, 0, 0)
+
+            for _ in range(3):
+                for k in data:
+                    assert engine.get(k) == data[k]
+                    assert engine.stats()["value_cache"]["bytes"] <= VALUE_CACHE_BYTES
+            cache = engine.stats()["value_cache"]
+            assert cache["capacity"] == VALUE_CACHE_BYTES
+            assert cache["admissions"] > 8 and cache["evictions"] > 0
+            assert cache["entries"] == cache["admissions"] - cache["evictions"]
+
+            engine.get(big)
+            cache = engine.stats()["value_cache"]
+            blocks = engine.read_counters()[0]
+            assert engine.get(big) == data[big]
+            assert engine.read_counters()[0] == blocks + 1  # never cached
+            assert engine.stats()["value_cache"] == cache  # and evicts nothing
+
+            hot = key(3)
+            engine.get(hot)
+            blocks = engine.read_counters()[0]
+            assert engine.get(hot) == data[hot]
+            assert engine.read_counters()[0] == blocks  # served from the cache
+            assert set(engine.stats()["tables"].popitem()[1]) == {"level", "entries"}
+
+            # the ghost of keys read once is bounded: 600 later first reads
+            # push the first key out, while the last is still remembered
+            cold = [key(i, ext=b"c") for i in range(600)]
+            for k in cold:
+                engine.put(k, b"cold")
+            engine.flush()
+            for k in cold:
+                assert engine.get(k) == b"cold"
+            admitted = engine.stats()["value_cache"]["admissions"]
+            assert engine.get(cold[0]) == b"cold"
+            assert engine.stats()["value_cache"]["admissions"] == admitted
+            assert engine.get(cold[-1]) == b"cold"
+            assert engine.stats()["value_cache"]["admissions"] == admitted + 1
+
+    def test_overwrites_through_retired_tables_never_go_stale(self, tmp_path):
+        # compaction frees the tables it replaces, and a new table may take
+        # the memory, and so the id(), of one that held an older value
+        keys = [key(j) for j in range(1, 7)]
+        with open_store(make_store_config(tmp_path / "store")) as engine:
+            for i in range(100):
+                for k in keys:
+                    engine.put(k, b"%s-version-%03d" % (k.basename, i))
+                engine.flush()
+                engine.compact()
+                gc.collect()
+                # key(j) is read in every j-th cycle only, so its cached
+                # entry names a table retired j - 1 compactions before
+                for j, k in enumerate(keys, 1):
+                    if i % j == 0:
+                        for _ in range(3):
+                            assert engine.get(k) == b"%s-version-%03d" % (k.basename, i)
+            cache = engine.stats()["value_cache"]
+            assert cache["bytes"] == sum(len(e[1]) for e in engine._values._entries.values())
+
+    def test_readers_see_written_values_during_flushes_and_compactions(self, tmp_path):
+        config = make_store_config(tmp_path / "store", write_buffer_bytes=1 * MIB)
+        keys = [key(i) for i in range(300)]
+        hot = keys[:4]
+
+        def value(i: int, version: int) -> bytes:
+            return b"%05d:%05d:" % (i, version) + bytes([version % 251]) * 16_000
+
+        published = [0] * len(keys)  # versions whose put has returned
+        with open_store(config) as engine:
+            for i, k in enumerate(keys):
+                engine.put(k, value(i, 0))
+            stop = threading.Event()
+            failures = []
+
+            def reader(seed: int):
+                rnd = random.Random(seed)
+                while not stop.is_set() and not failures:
+                    i = rnd.randrange(4) if rnd.random() < 0.7 else rnd.randrange(len(keys))
+                    oldest = published[i]
+                    try:
+                        got = engine.get(keys[i])
+                        version = int(got.split(b":")[1])
+                        if got != value(i, version) or version < oldest:
+                            failures.append((i, oldest, got[:12]))
+                    except Exception as exc:
+                        failures.append((i, oldest, repr(exc)))
+
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+            try:
+                for t in threads:
+                    t.start()
+                rnd = random.Random(5)
+                for version in range(1, 13):
+                    for i in rnd.sample(range(len(keys)), 100) + list(range(len(hot))):
+                        engine.put(keys[i], value(i, version))
+                        published[i] = version
+                    engine.flush()
+                    if version % 3 == 0:
+                        engine.compact()
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(timeout=60)
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures, failures[:5]
+            cache = engine.stats()["value_cache"]
+            assert cache["evictions"] > 0
+            assert cache["bytes"] == sum(len(e[1]) for e in engine._values._entries.values())
+
+
 class TestWalRetirement:
     def test_wal_files_cleaned_after_flush(self, tmp_path):
         d = tmp_path / "store"
@@ -584,8 +715,9 @@ _model_ops = st.lists(
 
 
 def _assert_matches_model(engine: Engine, model: dict[bytes, bytes]) -> None:
-    for k in _MODEL_KEYS + _MODEL_MISSES:
-        assert engine.get_encoded(k) == model.get(k)
+    for _ in range(3):  # the second read admits a value, the third is a cache hit
+        for k in _MODEL_KEYS + _MODEL_MISSES:
+            assert engine.get_encoded(k) == model.get(k)
     batch = _MODEL_KEYS[::-1] + _MODEL_MISSES + _MODEL_KEYS[::3]  # misses, duplicates
     assert engine.multi_get_encoded(batch) == [model.get(k) for k in batch]
     assert dict(engine.live_entries()) == model

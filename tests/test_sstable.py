@@ -148,31 +148,6 @@ class TestScan:
         with SSTable(path) as t:
             assert list(t.scan()) == entries
 
-    def test_empty_range(self, tmp_path):
-        entries = entries_of(50)
-        path = tmp_path / "er.ppcs"
-        build_table(path, entries, target_block_size=4096, codec=ZSTD3)
-        with SSTable(path) as t:
-            assert list(t.scan(b"key-000010", b"key-000010")) == []
-
-    def test_range_spanning_block_boundary(self, tmp_path):
-        # two blocks of 4 entries each (oracle-checked), range straddles them
-        entries = entries_of(8, value_size=1024)
-        assert simulate_packing(entries, 4096) == [4, 4]
-        path = tmp_path / "2b.ppcs"
-        build_table(path, entries, target_block_size=4096, codec=IDENTITY)
-        with SSTable(path) as t:
-            assert t.block_count == 2
-            got = list(t.scan(b"key-000002", b"key-000006"))
-            assert got == entries[2:6]
-
-    def test_bad_range_rejected(self, tmp_path):
-        path = tmp_path / "r.ppcs"
-        build_table(path, entries_of(10), target_block_size=4096, codec=ZSTD3)
-        with SSTable(path) as t:
-            with pytest.raises(ValueError):
-                list(t.scan(b"z", b"a"))
-
 
 class TestBlockSizeTradeoff:
     @staticmethod
@@ -240,6 +215,19 @@ class TestCorruptionAndFormat:
         with SSTable(path) as t:
             with pytest.raises(IntegrityError):
                 t.get(t.first_key)
+
+    @pytest.mark.parametrize("offset,value", [(-11, 0), (-11, 30), (-12, 0), (-12, 200)],
+                             ids=["level0", "level30", "algo0", "algo200"])
+    def test_footer_codec_bytes_without_a_codec_raise_format_error(self, tmp_path, offset, value):
+        # the footer's algo tag and level sit 12 and 11 bytes before its end;
+        # tag 0 is identity, which takes no level, and no codec has tag 200
+        path = self._build(tmp_path)
+        blob = bytearray(path.read_bytes())
+        assert blob[-12:-10] == bytes([ZSTD3.algorithm.tag, ZSTD3.level])
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            SSTable(path)
 
     def test_truncated_file_raises_format_error(self, tmp_path):
         path = self._build(tmp_path)

@@ -1,77 +1,30 @@
 """End-to-end benchmark phases: sorted bulk build, threaded retrieval,
-byte-equality verification, and frontier reporting.
+byte-equality verification, and report formatting.
 
 The build phase external-sorts the corpus by encoded key before insertion,
-so similar files land adjacently regardless of input order. Retrieval runs
-a pool of exactly p worker threads draining one shared query queue; every
-query executes exactly once, so total returned bytes are independent of p.
+so similar files land adjacently regardless of input order. Retrieval starts
+exactly p worker threads and thread i runs queries i, i + p, i + 2p, ...;
+every query executes exactly once, so total returned bytes are independent
+of p. The configuration matrix is composed by the CLI (`build`, then
+`query --csv` per workload and thread count, then `report`).
 """
 
 import logging
-import os
-import queue
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import extsort
-from .codec import CodecSpec
 from .corpus import canonical_filename, parse_record_stream
 from .engine import Engine, StoreConfig, open_store
 from .errors import IntegrityError
 from .keys import derive_key
-from .metrics import EnergyProbe, ReportRow, measure, pareto_frontier
+from .metrics import EnergyProbe, ReportRow, measure
 from .workload import Distribution, WorkloadSpec, make_batches, sample
 
 logger = logging.getLogger(__name__)
 
 KIB = 1024
-
-
-def default_thread_sweep(max_threads: int | None = None) -> list[int]:
-    """1, 2, 4, ... doubling up to the hardware concurrency."""
-    limit = max_threads or os.cpu_count() or 1
-    sweep = []
-    p = 1
-    while p <= limit:
-        sweep.append(p)
-        p *= 2
-    return sweep or [1]
-
-
-@dataclass
-class BenchPlan:
-    """A benchmark matrix: store configurations x thread counts x workloads."""
-
-    configs: list[StoreConfig]
-    thread_counts: list[int] = field(default_factory=default_thread_sweep)
-    workloads: list[dict] = field(default_factory=list)
-    repeats: int = 5
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.thread_counts):
-            raise ValueError("thread counts must be >= 1")
-        if sorted(self.thread_counts) != self.thread_counts or len(
-            set(self.thread_counts)
-        ) != len(self.thread_counts):
-            raise ValueError("thread counts must be strictly increasing")
-
-
-def default_configs(base_dir, **overrides) -> list[StoreConfig]:
-    """The four adopted large-scale picks: zstd-3/64K, zstd-6/4K,
-    zstd-6/128K, zstd-9/128K."""
-    picks = [("zstd:3", 64), ("zstd:6", 4), ("zstd:6", 128), ("zstd:9", 128)]
-    base = Path(base_dir)
-    return [
-        StoreConfig(
-            data_dir=base / f"{spec.replace(':', '')}-{kib}k",
-            codec=CodecSpec.parse(spec),
-            target_block_size=kib * KIB,
-            **overrides,
-        )
-        for spec, kib in picks
-    ]
 
 
 def corpus_key_value_pairs(corpus_path) -> Iterable[tuple[bytes, bytes]]:
@@ -131,61 +84,33 @@ def build_store(
     return row, None
 
 
-class _QueryPool:
-    """Exactly p threads draining one shared queue of queries."""
+def _run_queries(engine: Engine, items: Sequence, threads: int, batched: bool) -> int:
+    """Run each item once on exactly `threads` threads, thread i taking
+    items[i::threads], and return the value bytes read. An item is one key,
+    or a list of keys when batched. A failure in any thread is raised once
+    all threads have finished."""
+    totals = [0] * threads
+    failure: list[BaseException] = []
 
-    def __init__(self, engine: Engine, threads: int, batched: bool):
-        self.engine = engine
-        self.threads = threads
-        self.batched = batched
+    def worker(slot: int) -> None:
+        try:
+            for item in items[slot::threads]:
+                values = engine.multi_get_encoded(item) if batched else [engine.get_encoded(item)]
+                for value in values:
+                    if value is None:
+                        raise IntegrityError("hit-only workload got an absent key")
+                    totals[slot] += len(value)
+        except BaseException as exc:
+            failure.append(exc)
 
-    def run(self, items: Sequence) -> int:
-        work: queue.SimpleQueue = queue.SimpleQueue()
-        for item in items:
-            work.put(item)
-        for _ in range(self.threads):
-            work.put(None)
-
-        totals = [0] * self.threads
-        failure: list[BaseException] = []
-        stop = threading.Event()
-
-        def worker(slot: int) -> None:
-            local = 0
-            get_encoded = self.engine.get_encoded
-            multi = self.engine.multi_get_encoded
-            try:
-                while not stop.is_set():
-                    item = work.get()
-                    if item is None:
-                        break
-                    if self.batched:
-                        for value in multi(item):
-                            if value is None:
-                                raise IntegrityError("hit-only workload got an absent key")
-                            local += len(value)
-                    else:
-                        value = get_encoded(item)
-                        if value is None:
-                            raise IntegrityError("hit-only workload got an absent key")
-                        local += len(value)
-            except BaseException as exc:
-                failure.append(exc)
-                stop.set()
-            finally:
-                totals[slot] = local
-
-        workers = [
-            threading.Thread(target=worker, args=(slot,), daemon=True)
-            for slot in range(self.threads)
-        ]
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join()
-        if failure:
-            raise failure[0]
-        return sum(totals)
+    workers = [threading.Thread(target=worker, args=(slot,), daemon=True) for slot in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    if failure:
+        raise failure[0]
+    return sum(totals)
 
 
 def query_store(
@@ -201,7 +126,9 @@ def query_store(
     universe: Sequence[bytes] | None = None,
     ordered: bool = False,
 ) -> ReportRow:
-    """Sample a hit-only workload from live keys and drain it with a pool."""
+    """Sample a hit-only workload from live keys and run it on p threads."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if universe is None:
         universe = list(engine.live_keys())
     spec = WorkloadSpec(
@@ -214,15 +141,16 @@ def query_store(
     keys = sample(spec)
     if ordered:
         keys = sorted(keys)
-    items: Sequence = keys if batch_size == 1 else make_batches(keys, batch_size)
-    pool = _QueryPool(engine, threads, batched=batch_size > 1)
-
-    measurement = measure(lambda: pool.run(items), probe=probe, repeats=repeats)
+    batched = batch_size > 1
+    items: Sequence = make_batches(keys, batch_size) if batched else keys
+    measurement = measure(
+        lambda: _run_queries(engine, items, threads, batched), probe=probe, repeats=repeats
+    )
     stats = engine.stats()
     codec_spec, block_size = engine.effective_codec()
     return ReportRow.from_measurement(
         measurement,
-        phase="get" if batch_size == 1 else "multi_get",
+        phase="multi_get" if batched else "get",
         codec=codec_spec.algorithm.label,
         level=codec_spec.level,
         block_kib=block_size / KIB,
@@ -270,13 +198,6 @@ def verify_store(engine: Engine, corpus_path) -> VerifyReport:
     return report
 
 
-DEFAULT_OBJECTIVES = (("ratio", "min"), ("mib_per_s", "max"))
-
-
-def frontier_rows(rows: Sequence[ReportRow], objectives=DEFAULT_OBJECTIVES) -> list[ReportRow]:
-    return pareto_frontier(rows, objectives)
-
-
 def format_table(rows: Sequence[ReportRow]) -> str:
     """Human-readable aligned table of report rows."""
     headers = [
@@ -307,39 +228,3 @@ def format_table(rows: Sequence[ReportRow]) -> str:
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
-
-def run_plan(
-    plan: BenchPlan,
-    corpus_path,
-    *,
-    probe: EnergyProbe | None = None,
-    tmp_dir=None,
-) -> list[ReportRow]:
-    """Execute the full matrix: one build per config, then every
-    (workload x thread count) cell against it."""
-    rows: list[ReportRow] = []
-    for config in plan.configs:
-        build_row, engine = build_store(
-            corpus_path, config, probe=probe, tmp_dir=tmp_dir, keep_open=True
-        )
-        rows.append(build_row)
-        try:
-            universe = list(engine.live_keys())
-            for workload in plan.workloads:
-                for threads in plan.thread_counts:
-                    rows.append(
-                        query_store(
-                            engine,
-                            distribution=workload["distribution"],
-                            num_queries=workload["num_queries"],
-                            batch_size=workload.get("batch_size", 1),
-                            seed=workload.get("seed", 1),
-                            threads=threads,
-                            repeats=plan.repeats,
-                            probe=probe,
-                            universe=universe,
-                        )
-                    )
-        finally:
-            engine.close()
-    return rows

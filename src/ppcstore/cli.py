@@ -14,7 +14,7 @@ from .corpus import parse_record_stream, serialize_record
 from .engine import KIB, MIB, StoreConfig, open_store
 from .errors import ConfigError, CorpusError, StoreError
 from .keys import derive_key
-from .metrics import auto_probe, read_report_csv, write_report_csv
+from .metrics import auto_probe, pareto_frontier, read_report_csv, write_report_csv
 from .workload import Distribution
 
 EXIT_OK = 0
@@ -28,6 +28,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _objectives(text: str) -> list[tuple[str, str]]:
+    """'field:direction,...' pairs; the direction is min (default) or max."""
+    objectives = []
+    for item in text.split(","):
+        name, _, direction = item.strip().partition(":")
+        direction = direction or "min"
+        if direction not in ("min", "max"):
+            raise argparse.ArgumentTypeError(f"{item!r}: direction must be min or max")
+        objectives.append((name, direction))
+    return objectives
 
 
 def _store_config(args) -> StoreConfig:
@@ -75,10 +94,10 @@ def _build_cli() -> _Parser:
     p = sub.add_parser("query", help="run a retrieval workload against a store")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--dist", choices=("uniform", "powerlaw"), default="uniform")
-    p.add_argument("--queries", type=int, default=10_000)
-    p.add_argument("--batch", type=int, default=1, help="keys per query (1 = single-get)")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--queries", type=_positive_int, default=10_000)
+    p.add_argument("--batch", type=_positive_int, default=1, help="keys per query (1 = single-get)")
+    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--ordered", action="store_true", help="visit keys in sorted order")
     p.add_argument("--csv")
@@ -89,8 +108,9 @@ def _build_cli() -> _Parser:
     p.add_argument("--csv", help="write the frontier rows to this CSV")
     p.add_argument(
         "--objectives",
+        type=_objectives,
         default="ratio:min,mib_per_s:max",
-        help="comma-separated field:direction pairs",
+        help="comma-separated field:direction pairs, direction min or max",
     )
 
     p = sub.add_parser("verify", help="byte-equality audit of a store against its corpus")
@@ -169,11 +189,7 @@ def _cmd_report(args) -> int:
     rows = []
     for path in args.csvs:
         rows.extend(read_report_csv(path))
-    objectives = []
-    for item in args.objectives.split(","):
-        name, _, direction = item.strip().partition(":")
-        objectives.append((name, direction or "min"))
-    frontier = bench.frontier_rows(rows, objectives)
+    frontier = pareto_frontier(rows, args.objectives)
     print(bench.format_table(frontier))
     if args.csv:
         write_report_csv(args.csv, frontier)

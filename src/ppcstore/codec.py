@@ -9,6 +9,9 @@ slower, so snappy timings taken without libsnappy say nothing about
 snappy's speed. Each algorithm carries a stable 1-byte tag so compressed
 blocks are self-describing on disk.
 
+Decompression requires the raw size, which table block headers record: it
+sizes the output and the result must match it.
+
 zstd state is per thread: each thread creates one compression context, one
 decompression context and one output buffer on first use and reuses them for
 every later call, so a call sets up no context or buffer and returns its
@@ -127,8 +130,6 @@ def _zstd():
     ]
     lib.ZSTD_isError.restype = ctypes.c_uint
     lib.ZSTD_isError.argtypes = [ctypes.c_size_t]
-    lib.ZSTD_getFrameContentSize.restype = ctypes.c_ulonglong
-    lib.ZSTD_getFrameContentSize.argtypes = [ctypes.c_char_p, ctypes.c_size_t]
     return lib
 
 
@@ -211,10 +212,6 @@ def _snappy():
     lib.snappy_uncompress.argtypes = [
         ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.POINTER(ctypes.c_size_t),
     ]
-    lib.snappy_uncompressed_length.restype = ctypes.c_int
-    lib.snappy_uncompressed_length.argtypes = [
-        ctypes.c_char_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_size_t),
-    ]
     return lib
 
 
@@ -250,14 +247,14 @@ def compress(raw: bytes, spec: CodecSpec) -> bytes:
     raise CodecConfigError(f"unsupported algorithm {algo}")
 
 
-def decompress(compressed: bytes, spec: CodecSpec, expected_size: int | None = None) -> bytes:
+def decompress(compressed: bytes, spec: CodecSpec, expected_size: int) -> bytes:
     """Recover the exact original bytes; corrupt input raises IntegrityError.
 
-    expected_size, when the caller knows it (block headers record the raw
-    length), both sizes the output buffer and is verified against the result.
+    expected_size is the raw length the caller recorded (block headers carry
+    it): it sizes the output buffer and the result must match it exactly.
     """
     algo = spec.algorithm
-    if expected_size is not None and not 0 <= expected_size <= MAX_REASONABLE_RAW:
+    if not 0 <= expected_size <= MAX_REASONABLE_RAW:
         raise IntegrityError(f"implausible raw size {expected_size}")
 
     if algo is Algorithm.IDENTITY:
@@ -270,33 +267,19 @@ def decompress(compressed: bytes, spec: CodecSpec, expected_size: int | None = N
     elif algo is Algorithm.ZSTD:
         state = _zstd_state()
         lib = state.lib
-        size = expected_size
-        if size is None:
-            raw = lib.ZSTD_getFrameContentSize(compressed, len(compressed))
-            # 2^64-1 means unknown, 2^64-2 means not a zstd frame.
-            if raw >= 2**64 - 2 or raw > MAX_REASONABLE_RAW:
-                raise IntegrityError("zstd frame header corrupt or size unknown")
-            size = raw
-        dst = state.output(size)
+        dst = state.output(expected_size)
         written = lib.ZSTD_decompressDCtx(
-            state.decompressor(), dst, size, compressed, len(compressed)
+            state.decompressor(), dst, expected_size, compressed, len(compressed)
         )
         if lib.ZSTD_isError(written):
             raise IntegrityError("zstd payload corrupt")
         out = memoryview(dst)[:written].tobytes()
     elif algo is Algorithm.SNAPPY and _snappy() is None:
-        out = rawsnappy.decompress(compressed, MAX_REASONABLE_RAW)
+        out = rawsnappy.decompress(compressed, expected_size)
     elif algo is Algorithm.SNAPPY:
         lib = _snappy()
-        size = expected_size
-        if size is None:
-            n = ctypes.c_size_t(0)
-            rc = lib.snappy_uncompressed_length(compressed, len(compressed), ctypes.byref(n))
-            if rc != 0 or n.value > MAX_REASONABLE_RAW:
-                raise IntegrityError("snappy length header corrupt")
-            size = n.value
-        dst = ctypes.create_string_buffer(max(size, 1))
-        out_len = ctypes.c_size_t(max(size, 1))
+        dst = ctypes.create_string_buffer(max(expected_size, 1))
+        out_len = ctypes.c_size_t(max(expected_size, 1))
         rc = lib.snappy_uncompress(compressed, len(compressed), dst, ctypes.byref(out_len))
         if rc != 0:
             raise IntegrityError(f"snappy payload corrupt (status {rc})")
@@ -304,7 +287,7 @@ def decompress(compressed: bytes, spec: CodecSpec, expected_size: int | None = N
     else:
         raise CodecConfigError(f"unsupported algorithm {algo}")
 
-    if expected_size is not None and len(out) != expected_size:
+    if len(out) != expected_size:
         raise IntegrityError(f"decompressed to {len(out)} bytes, expected {expected_size}")
     return out
 

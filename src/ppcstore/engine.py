@@ -44,6 +44,10 @@ _MANIFEST_HEADER = "ppcs-manifest v1"
 _TABLE_RE = re.compile(r"^tbl-(\d+)\.ppcs$")
 _WAL_RE = re.compile(r"^wal-(\d+)\.log$")
 
+# A write flushes the memtable once the WAL reaches this size, even below
+# write_buffer_bytes.
+MAX_WAL_BYTES = 64 * GIB
+
 # Table values carry a 1-byte state prefix so deletions shadow older
 # versions until compaction drops both.
 _LIVE = b"\x00"
@@ -75,7 +79,6 @@ class StoreConfig:
     codec: CodecSpec = field(default_factory=lambda: CodecSpec.parse("zstd:3"))
     target_block_size: int = 64 * KIB
     write_buffer_bytes: int = 2 * GIB
-    max_wal_bytes: int = 64 * GIB
     compaction_threads: int = 6
     bits_per_key: float = 10.0
     capacity_m: int | None = None
@@ -299,7 +302,7 @@ class Engine:
     def _maybe_flush(self) -> None:
         if (
             self._memtable_raw >= self.config.write_buffer_bytes
-            or self._wal.size >= self.config.max_wal_bytes
+            or self._wal.size >= MAX_WAL_BYTES
         ):
             self.flush()
 

@@ -15,14 +15,7 @@ from pathlib import Path
 import pytest
 
 from ppcstore import codec as codec_mod
-from ppcstore.bench import (
-    BenchPlan,
-    build_store,
-    corpus_key_value_pairs,
-    query_store,
-    run_plan,
-    verify_store,
-)
+from ppcstore.bench import build_store, corpus_key_value_pairs, query_store, verify_store
 from ppcstore.codec import CodecSpec
 from ppcstore.corpus import write_corpus
 from ppcstore.engine import KIB, MIB, StoreConfig, open_store
@@ -459,31 +452,46 @@ def test_criterion_10_energy_optionality(base):
         corpus_path,
         generate_records(SynthSpec(files=800, seed=77, min_file_bytes=1_000, max_file_bytes=5_000)),
     )
-    plan = BenchPlan(
-        configs=[
-            StoreConfig(
-                data_dir=base / "mini-z3",
-                codec=CodecSpec.parse("zstd:3"),
-                target_block_size=16 * KIB,
-                write_buffer_bytes=4 * MIB,
-                compaction_threads=2,
-            ),
-            StoreConfig(
-                data_dir=base / "mini-z6",
-                codec=CodecSpec.parse("zstd:6"),
-                target_block_size=64 * KIB,
-                write_buffer_bytes=4 * MIB,
-                compaction_threads=2,
-            ),
-        ],
-        thread_counts=[1, 2],
-        workloads=[
-            {"distribution": Distribution.UNIFORM_DISTINCT, "num_queries": 300},
-            {"distribution": Distribution.POWER_LAW, "num_queries": 300, "batch_size": 100},
-        ],
-        repeats=2,
-    )
-    rows = run_plan(plan, corpus_path, probe=NullProbe(), tmp_dir=str(base))
+    configs = [
+        StoreConfig(
+            data_dir=base / "mini-z3",
+            codec=CodecSpec.parse("zstd:3"),
+            target_block_size=16 * KIB,
+            write_buffer_bytes=4 * MIB,
+            compaction_threads=2,
+        ),
+        StoreConfig(
+            data_dir=base / "mini-z6",
+            codec=CodecSpec.parse("zstd:6"),
+            target_block_size=64 * KIB,
+            write_buffer_bytes=4 * MIB,
+            compaction_threads=2,
+        ),
+    ]
+    workloads = [(Distribution.UNIFORM_DISTINCT, 1), (Distribution.POWER_LAW, 100)]
+    # the matrix: one build per config, then every workload at every thread count
+    rows = []
+    for config in configs:
+        build_row, engine = build_store(
+            corpus_path, config, probe=NullProbe(), tmp_dir=str(base), keep_open=True
+        )
+        rows.append(build_row)
+        with engine:
+            universe = list(engine.live_keys())
+            for distribution, batch_size in workloads:
+                for threads in (1, 2):
+                    rows.append(
+                        query_store(
+                            engine,
+                            distribution=distribution,
+                            num_queries=300,
+                            batch_size=batch_size,
+                            threads=threads,
+                            repeats=2,
+                            probe=NullProbe(),
+                            universe=universe,
+                        )
+                    )
     matrix_complete = len(rows) == 2 * (1 + 2 * 2)
     energy_empty = all(r.joules is None and r.mb_per_j is None for r in rows)
     csv_path = base / "null_energy.csv"

@@ -5,15 +5,10 @@ import random
 import pytest
 
 from ppcstore.bench import (
-    BenchPlan,
     build_store,
     corpus_key_value_pairs,
-    default_configs,
-    default_thread_sweep,
     format_table,
-    frontier_rows,
     query_store,
-    run_plan,
     verify_store,
 )
 from ppcstore.codec import CodecSpec
@@ -21,7 +16,7 @@ from ppcstore.corpus import write_corpus
 from ppcstore.engine import KIB, MIB, StoreConfig
 from ppcstore.errors import IntegrityError
 from ppcstore.extsort import sorted_pairs
-from ppcstore.metrics import NullProbe
+from ppcstore.metrics import NullProbe, pareto_frontier
 from ppcstore.synth import generate_records
 from ppcstore.workload import Distribution
 
@@ -71,17 +66,37 @@ class TestBuild:
         assert row.bytes > 2 * MIB
         assert row.mib_per_s > 0
 
-    def test_unsorted_input_lands_sorted(self, tmp_path, small_corpus):
+    @pytest.mark.parametrize("codec", ["zstd:3", "snappy"])
+    def test_unsorted_input_lands_sorted(self, tmp_path, small_corpus, codec):
         # corpus arrives in content-id order; the build must sort by key
         keys = [k for k, _ in corpus_key_value_pairs(small_corpus)]
         assert keys != sorted(keys)
         _, engine = build_store(
-            small_corpus, bench_config(tmp_path / "store"), keep_open=True
+            small_corpus, bench_config(tmp_path / "store", codec=codec), keep_open=True
         )
         with engine:
             live = list(engine.live_keys())
             assert live == sorted(live)
             assert len(live) == len(keys)
+            # the store answers threaded gets and multi-gets; a null probe
+            # leaves the energy fields empty
+            rows = [
+                query_store(
+                    engine,
+                    distribution=distribution,
+                    num_queries=100,
+                    batch_size=batch,
+                    threads=2,
+                    probe=NullProbe(),
+                )
+                for distribution, batch in (
+                    (Distribution.UNIFORM_DISTINCT, 1),
+                    (Distribution.POWER_LAW, 20),
+                )
+            ]
+        for row in rows:
+            assert row.codec == codec.partition(":")[0]
+            assert row.bytes > 0 and row.joules is None and row.mb_per_j is None
 
     def test_empty_corpus_yields_empty_row_and_warning(self, tmp_path, caplog):
         corpus = tmp_path / "empty.jsonl"
@@ -133,10 +148,19 @@ class TestQueryPool:
                 threads=p,
                 seed=11,
             )
-            for p in (1, 4)
+            for p in (1, 4, 7)
         ]
-        assert rows[0].bytes == rows[1].bytes > 0
-        assert rows[0].threads == 1 and rows[1].threads == 4
+        # 600 queries do not split evenly over 7 threads; each still runs once
+        assert rows[0].bytes == rows[1].bytes == rows[2].bytes > 0
+        assert [r.threads for r in rows] == [1, 4, 7]
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_is_rejected(self, built, threads):
+        engine, _ = built
+        with pytest.raises(ValueError, match="threads"):
+            query_store(
+                engine, distribution=Distribution.UNIFORM_DISTINCT, num_queries=10, threads=threads
+            )
 
     def test_multi_get_batches(self, built):
         engine, _ = built
@@ -242,57 +266,26 @@ class TestReporting:
             )
             for p in (1, 2)
         ]
-        frontier = frontier_rows(rows)
+        frontier = pareto_frontier(rows, [("ratio", "min"), ("mib_per_s", "max")])
         assert frontier
         text = format_table(rows)
         assert "mib_per_s" in text.splitlines()[0]
         assert len(text.splitlines()) == len(rows) + 2
 
 
-class TestPlans:
-    def test_default_configs_are_the_four_picks(self, tmp_path):
-        configs = default_configs(tmp_path)
-        labels = [(str(c.codec), c.target_block_size // KIB) for c in configs]
-        assert labels == [("zstd:3", 64), ("zstd:6", 4), ("zstd:6", 128), ("zstd:9", 128)]
-
-    def test_thread_sweep_doubles_to_limit(self):
-        assert default_thread_sweep(8) == [1, 2, 4, 8]
-        assert default_thread_sweep(6) == [1, 2, 4]
-
-    def test_plan_validates_thread_counts(self, tmp_path):
-        with pytest.raises(ValueError):
-            BenchPlan(configs=default_configs(tmp_path), thread_counts=[2, 1])
-
-    def test_small_matrix_runs_end_to_end_with_null_probe(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        write_corpus(corpus, generate_records(small_synth_spec(files=250, seed=9)))
-        plan = BenchPlan(
-            configs=[
-                bench_config(tmp_path / "s1", codec="zstd:3", block_kib=16),
-                bench_config(tmp_path / "s2", codec="snappy", block_kib=16),
-            ],
-            thread_counts=[1, 2],
-            workloads=[
-                {"distribution": Distribution.UNIFORM_DISTINCT, "num_queries": 100},
-                {"distribution": Distribution.POWER_LAW, "num_queries": 100, "batch_size": 20},
-            ],
-            repeats=1,
-        )
-        rows = run_plan(plan, corpus, probe=NullProbe(), tmp_dir=str(tmp_path))
-        # 2 configs x (1 build + 2 workloads x 2 thread counts)
-        assert len(rows) == 2 * (1 + 4)
-        assert all(r.joules is None for r in rows)
-
-    def test_matrix_with_fake_probe_reports_energy(self, tmp_path):
+class TestEnergy:
+    def test_fake_probe_reports_energy_for_build_and_query(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, generate_records(small_synth_spec(files=100, seed=10)))
         probe = FakeProbe(list(range(0, 10**9, 1_000_000)), wrap_range_uj=2**40)
-        plan = BenchPlan(
-            configs=[bench_config(tmp_path / "s", block_kib=16)],
-            thread_counts=[1],
-            workloads=[{"distribution": Distribution.UNIFORM_DISTINCT, "num_queries": 50}],
-            repeats=1,
+        build_row, engine = build_store(
+            corpus, bench_config(tmp_path / "s", block_kib=16), probe=probe,
+            tmp_dir=str(tmp_path), keep_open=True,
         )
-        rows = run_plan(plan, corpus, probe=probe, tmp_dir=str(tmp_path))
-        assert all(r.joules is not None and r.joules > 0 for r in rows)
-        assert all(r.mb_per_j is not None for r in rows)
+        with engine:
+            query_row = query_store(
+                engine, distribution=Distribution.UNIFORM_DISTINCT, num_queries=50, probe=probe
+            )
+        for row in (build_row, query_row):
+            assert row.joules is not None and row.joules > 0
+            assert row.mb_per_j is not None

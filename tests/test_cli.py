@@ -141,3 +141,42 @@ def test_bad_codec_is_usage_error(corpus, tmp_path, capsys):
         ["build", str(corpus), "--data-dir", str(tmp_path / "s"), "--codec", "zstd:99"]
     )
     assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def built_store(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli")
+    corpus = base / "corpus.jsonl"
+    write_corpus(corpus, generate_records(small_synth_spec(files=60, seed=3)))
+    data_dir, csv_path = base / "store", base / "rows.csv"
+    assert main(
+        ["build", str(corpus), "--data-dir", str(data_dir), "--write-buffer-mib", "4",
+         "--csv", str(csv_path), "--energy", "off"]
+    ) == 0
+    return data_dir, csv_path
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["query", "--threads", "0"],
+        ["query", "--threads", "-2"],
+        ["query", "--repeats", "0"],
+        ["query", "--queries", "0"],
+        ["query", "--batch", "0"],
+        ["report", "--objectives", "ratio:up"],
+    ],
+    ids=["threads0", "threads-2", "repeats0", "queries0", "batch0", "objective-up"],
+)
+def test_out_of_range_flags_are_usage_errors(built_store, capsys, flags):
+    data_dir, csv_path = built_store
+    if flags[0] == "query":
+        # a query that runs at these settings apart from the flag under test
+        argv = ["query", "--data-dir", str(data_dir), "--queries", "20", "--repeats", "1",
+                "--energy", "off"] + flags[1:]
+    else:
+        argv = flags + [str(csv_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert "usage:" in capsys.readouterr().err

@@ -85,21 +85,23 @@ class TestRoundTrip:
     def test_all_levels_all_sizes(self, spec):
         for size in SIZES:
             payload = random_payload(size, seed=size)
-            assert decompress(compress(payload, spec), spec) == payload
+            assert decompress(compress(payload, spec), spec, size) == payload
 
     def test_identity_returns_input_unchanged(self):
         assert compress(b"abc", CodecSpec(Algorithm.IDENTITY)) == b"abc"
 
     def test_zero_byte_payload_all_algorithms(self):
         for spec in all_specs():
-            assert decompress(compress(b"", spec), spec) == b""
+            assert decompress(compress(b"", spec), spec, 0) == b""
 
     def test_expected_size_hint_is_verified(self):
-        spec = CodecSpec.parse("zstd:1")
-        comp = compress(b"x" * 100, spec)
-        assert decompress(comp, spec, expected_size=100) == b"x" * 100
-        with pytest.raises(IntegrityError):
-            decompress(comp, spec, expected_size=99)
+        for text in ("zstd:1", "deflate:6", "snappy", "identity"):
+            spec = CodecSpec.parse(text)
+            comp = compress(b"x" * 100, spec)
+            assert decompress(comp, spec, expected_size=100) == b"x" * 100
+            for wrong in (0, 99, 101):
+                with pytest.raises(IntegrityError):
+                    decompress(comp, spec, expected_size=wrong)
 
     def test_compress_never_errors_on_arbitrary_bytes(self):
         rnd = random.Random(0)
@@ -107,7 +109,7 @@ class TestRoundTrip:
                      CodecSpec(Algorithm.SNAPPY), CodecSpec(Algorithm.IDENTITY)):
             for _ in range(20):
                 blob = rnd.randbytes(rnd.randrange(0, 5000))
-                decompress(compress(blob, spec), spec)
+                decompress(compress(blob, spec), spec, len(blob))
 
 
 class TestCorruption:
@@ -123,11 +125,11 @@ class TestCorruption:
         comp = bytearray(compress(random_payload(BLOCK, 2), spec))
         comp[len(comp) // 2] ^= 0xFF
         with pytest.raises(IntegrityError):
-            decompress(bytes(comp), spec)
+            decompress(bytes(comp), spec, BLOCK)
 
     def test_zstd_garbage_frame_rejected(self):
         with pytest.raises(IntegrityError):
-            decompress(b"not a zstd frame at all", CodecSpec.parse("zstd:3"))
+            decompress(b"not a zstd frame at all", CodecSpec.parse("zstd:3"), 100)
 
 
 def flip_bit(frame: bytes, bit: int) -> bytes:
@@ -180,7 +182,8 @@ class TestPerThreadZstdState:
 
         def work(_):
             for _ in range(3):
-                results.append(decompress(compress(payload, self.SPEC), self.SPEC) == payload)
+                frame = compress(payload, self.SPEC)
+                results.append(decompress(frame, self.SPEC, BLOCK) == payload)
 
         for _ in range(5):
             run_threads(work, 4)
@@ -221,21 +224,20 @@ class TestPerThreadZstdState:
                 # bit; a flip there may decode, but only to the exact input
                 assert out == payload
                 continue
-            out = decompress(frame, spec, expected_size=size if seed % 2 else None)
+            out = decompress(frame, spec, expected_size=size)
             assert type(out) is bytes and out == payload
             kept.append((out, payload, frame))
         for out, payload, frame in kept:
             assert out == payload
-            assert decompress(frame, spec) == payload
+            assert decompress(frame, spec, len(payload)) == payload
 
     def test_output_above_reuse_limit(self):
         size = REUSED_BUFFER_LIMIT + 12_345
         payload = random_payload(size, seed=11)
         small = random_payload(BLOCK, seed=12)
-        small_out = decompress(compress(small, self.SPEC), self.SPEC)
+        small_out = decompress(compress(small, self.SPEC), self.SPEC, BLOCK)
         frame = compress(payload, self.SPEC)
         assert decompress(frame, self.SPEC, expected_size=size) == payload
-        assert decompress(frame, self.SPEC) == payload
         with pytest.raises(IntegrityError):
             decompress(flip_bit(frame, len(frame) * 8 - 3), self.SPEC, expected_size=size)
         assert small_out == small
@@ -300,7 +302,7 @@ class TestSnappyFallback:
         payload = random_payload(BLOCK, seed=4)
         with caplog.at_level(logging.WARNING, logger=codec_mod.__name__):
             for _ in range(5):
-                assert decompress(compress(payload, spec), spec) == payload
+                assert decompress(compress(payload, spec), spec, BLOCK) == payload
         assert no_libsnappy == ["snappy"]
         warnings = [r for r in caplog.records if "libsnappy not available" in r.getMessage()]
         assert len(warnings) == 1
@@ -315,7 +317,7 @@ class TestSnappyInterop:
     @pytest.mark.parametrize("size", SIZES)
     def test_libsnappy_decodes_fallback_output(self, size):
         payload = random_payload(size, seed=size)
-        assert decompress(rawsnappy.compress(payload), self.SPEC) == payload
+        assert decompress(rawsnappy.compress(payload), self.SPEC, size) == payload
 
     @pytest.mark.parametrize("size", SIZES)
     def test_fallback_decodes_libsnappy_output(self, size):

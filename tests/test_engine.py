@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ppcstore import engine as engine_mod
 from ppcstore.codec import Algorithm, CodecSpec
 from ppcstore.engine import KIB, MIB, VALUE_CACHE_BYTES, Engine, StoreConfig, open_store
 from ppcstore.errors import (
@@ -593,10 +594,9 @@ class TestWalRetirement:
             assert len(wals) == 1  # only the fresh active segment
             assert os.path.getsize(d / wals[0]) == 0
 
-    def test_wal_cap_forces_flush(self, tmp_path):
-        config = make_store_config(
-            tmp_path / "store", write_buffer_bytes=64 * MIB, max_wal_bytes=1 * MIB
-        )
+    def test_wal_cap_forces_flush(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine_mod, "MAX_WAL_BYTES", 1 * MIB)
+        config = make_store_config(tmp_path / "store", write_buffer_bytes=64 * MIB)
         with open_store(config) as engine:
             fill(engine, 40, value_size=50_000)
             assert len(engine.stats()["tables"]) >= 1

@@ -127,8 +127,9 @@ class TestMalformedStreams:
             rawsnappy.decompress(varint(10) + literal(TEXT[:10]), 9)
 
     def test_codec_rejects_declared_length_above_limit(self):
+        # the limit is the size the caller expects
         with pytest.raises(IntegrityError):
-            decompress(varint(MAX_REASONABLE_RAW + 1) + literal(b"a"), SNAPPY)
+            decompress(varint(MAX_REASONABLE_RAW + 1) + literal(b"a"), SNAPPY, 1)
 
 
 class TestEncoder:

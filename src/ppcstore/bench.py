@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 KIB = 1024
 
+# A failed verify names at most this many missing or mismatched content ids.
+VERIFY_DETAIL_IDS = 20
+
 
 def corpus_key_value_pairs(corpus_path) -> Iterable[tuple[bytes, bytes]]:
     """Stream (encoded key, content) pairs from a JSONL corpus."""
@@ -166,7 +169,6 @@ class VerifyReport:
     checked: int = 0
     missing: list[str] = field(default_factory=list)
     mismatched: list[str] = field(default_factory=list)
-    detail_cap: int = 20
 
     @property
     def ok(self) -> bool:
@@ -178,7 +180,7 @@ class VerifyReport:
         return (
             f"DIFF: {self.checked} checked, {len(self.missing)} missing, "
             f"{len(self.mismatched)} mismatched; first ids: "
-            f"{(self.missing + self.mismatched)[: self.detail_cap]}"
+            f"{(self.missing + self.mismatched)[:VERIFY_DETAIL_IDS]}"
         )
 
 

@@ -5,7 +5,9 @@ L1 holds non-overlapping sorted runs. One logical writer at a time;
 readers never take the writer lock — they snapshot the (L0, L1) table
 tuple and the memtable reference, both swapped atomically.
 
-Directory layout: MANIFEST (text), wal-<seq>.log, tbl-<seq>.ppcs.
+Directory layout: MANIFEST (text), wal-<seq>.log, tbl-<seq>.ppcs. The
+manifest's "log <seq>" line names the oldest WAL whose records are not all in
+tables; recovery deletes older WALs without replaying them.
 """
 
 import heapq
@@ -94,6 +96,10 @@ class StoreConfig:
             raise ConfigError("capacity_m must be >= write_buffer_bytes")
 
 
+def _wal_seq(path: Path) -> int:
+    return int(_WAL_RE.match(path.name).group(1))
+
+
 def _wrap(value: bytes | _Tombstone) -> bytes:
     return _TOMB if value is TOMBSTONE else _LIVE + value
 
@@ -132,8 +138,9 @@ class Engine:
         l0_names: list[str] = []
         l1_names: list[str] = []
         manifest = self.dir / MANIFEST_NAME
+        log_floor = 0
         if manifest.exists():
-            l0_names, l1_names, self._seq = self._parse_manifest(manifest)
+            l0_names, l1_names, self._seq, log_floor = self._parse_manifest(manifest)
 
         listed = set(l0_names) | set(l1_names)
         max_file_seq = 0
@@ -158,12 +165,13 @@ class Engine:
             raise RecoveryError(f"cannot open tables from manifest: {exc}") from exc
         self._install_tables(l0, l1)
 
-        wal_paths = sorted(
-            (p for p in self.dir.iterdir() if _WAL_RE.match(p.name)),
-            key=lambda p: int(_WAL_RE.match(p.name).group(1)),
-        )
+        wal_paths = sorted((p for p in self.dir.iterdir() if _WAL_RE.match(p.name)), key=_wal_seq)
         self._replayed_wals = []
         for path in wal_paths:
+            if _wal_seq(path) < log_floor:
+                # retired by a flush whose unlink failed: its records are in tables
+                os.unlink(path)
+                continue
             records = 0
             for op, key, value in wal_mod.replay_wal(path):
                 records += 1
@@ -178,10 +186,10 @@ class Engine:
                 os.unlink(path)
         self._open_fresh_wal()
 
-    def _parse_manifest(self, path: Path) -> tuple[list[str], list[str], int]:
+    def _parse_manifest(self, path: Path) -> tuple[list[str], list[str], int, int]:
         l0: list[str] = []
         l1: list[str] = []
-        seq = 0
+        numbers = {"seq": 0, "log": 0}
         try:
             lines = path.read_text().splitlines()
         except OSError as exc:
@@ -192,13 +200,13 @@ class Engine:
             if not line.strip():
                 continue
             parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("seq", "l0", "l1"):
+            if len(parts) != 2 or parts[0] not in ("seq", "log", "l0", "l1"):
                 raise RecoveryError(f"{path}: bad manifest line {line!r}")
-            if parts[0] == "seq":
+            if parts[0] in numbers:
                 try:
-                    seq = int(parts[1])
+                    numbers[parts[0]] = int(parts[1])
                 except ValueError:
-                    raise RecoveryError(f"{path}: bad sequence {parts[1]!r}") from None
+                    raise RecoveryError(f"{path}: bad {parts[0]} number {parts[1]!r}") from None
             elif parts[0] == "l0":
                 l0.append(parts[1])
             else:
@@ -206,11 +214,12 @@ class Engine:
         for name in l0 + l1:
             if not (self.dir / name).exists():
                 raise RecoveryError(f"{path}: manifest references missing table {name}")
-        return l0, l1, seq
+        return l0, l1, numbers["seq"], numbers["log"]
 
     def _write_manifest(self) -> None:
         l0, l1, _ = self._tables
-        lines = [_MANIFEST_HEADER, f"seq {self._seq}"]
+        oldest_live_wal = (self._replayed_wals + [Path(self._wal.path)])[0]
+        lines = [_MANIFEST_HEADER, f"seq {self._seq}", f"log {_wal_seq(oldest_live_wal)}"]
         lines += [f"l0 {os.path.basename(t.path)}" for t in l0]
         lines += [f"l1 {os.path.basename(t.path)}" for t in l1]
         tmp = self.dir / (MANIFEST_NAME + ".tmp")
@@ -316,14 +325,13 @@ class Engine:
             table = self._build_new_table(entries)
             l0, l1, _ = self._tables
             self._install_tables((table,) + l0, l1)
-            self._write_manifest()
-            self._memtable = {}
-            self._memtable_raw = 0
-            old_wal = self._wal
-            old_wal.close()
-            retired = self._replayed_wals + [Path(old_wal.path)]
+            self._wal.close()
+            retired = self._replayed_wals + [Path(self._wal.path)]
             self._replayed_wals = []
             self._open_fresh_wal()
+            self._write_manifest()  # its log line now retires every older WAL
+            self._memtable = {}
+            self._memtable_raw = 0
             for path in retired:
                 try:
                     os.unlink(path)

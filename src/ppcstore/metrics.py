@@ -112,7 +112,6 @@ class Measurement:
     joules: float | None
     run_count: int
     per_run_seconds: list[float] = field(default_factory=list)
-    per_run_joules: list[float] = field(default_factory=list)
 
 
 def measure(
@@ -145,7 +144,6 @@ def measure(
         joules=(sum(joules) / repeats) if use_energy else None,
         run_count=repeats,
         per_run_seconds=times,
-        per_run_joules=joules,
     )
 
 

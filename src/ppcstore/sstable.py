@@ -1,21 +1,27 @@
 """Immutable sorted table files: compressed blocks + index + bloom filter.
 
-On-disk layout (all integers little-endian, no timestamps, constant-seeded
-hashing — building the same entries twice yields byte-identical files):
+On-disk layout, format version 2 (all integers little-endian, no timestamps,
+constant-seeded hashing — building the same entries twice yields
+byte-identical files):
 
     [data block]*[bloom section][index block][footer]
 
-    data block   [1B algo tag][1B level][4B raw length]
-                 [compressed payload][4B CRC32 of compressed payload]
+    data block   [4B raw length][compressed payload]
+                 [4B CRC32 of the raw length and the payload]
     raw payload  sequence of entries: [4B key len][4B value len][key][value]
     bloom        [8B m bits][4B k][8B n keys][bit array]
     index        [8B block count]
-                 per block: [8B file offset][8B compressed payload length]
-                            [4B first-key length][first key]
+                 per block: [8B file offset][4B first-key length][first key]
                  [4B last-key length][last key of the table]
     footer       fixed 64 bytes: index/bloom handles, entry count, raw and
                  compressed byte totals, target block size, codec tag+level,
-                 format version, ending in the magic bytes "PPCS"
+                 format version, a CRC32 of every byte from the bloom offset
+                 up to this CRC field, and the magic bytes "PPCS"
+
+Block i spans from its offset to the next block's, the last one to the bloom
+section, and every block is compressed with the footer's codec. Version 1
+tables (per-block codec bytes, stored payload lengths, unchecked metadata)
+are rejected with FormatError.
 
 Blocks close when their raw payload reaches the target size; an entry never
 splits across blocks, so a single oversized entry forms its own block.
@@ -36,25 +42,21 @@ from .codec import CodecSpec
 from .errors import CodecConfigError, ConfigError, FormatError, IntegrityError, SortViolationError
 
 MAGIC = b"PPCS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MIN_BLOCK_SIZE = 1024
 
 _ENTRY_HEADER = struct.Struct("<II")
-_BLOCK_HEADER = struct.Struct("<BBI")  # algo tag, level, raw length
+_BLOCK_HEADER = struct.Struct("<I")  # raw length
 _CRC = struct.Struct("<I")
-_FOOTER = struct.Struct("<QIQIQQQIBBH4x4s")
-assert _FOOTER.size == 64
+_BLOCK_OVERHEAD = _BLOCK_HEADER.size + _CRC.size
+_INDEX_ENTRY = struct.Struct("<QI")  # block offset, first-key length
+# The footer's fields; the metadata CRC and the magic follow them.
+_FOOTER = struct.Struct("<QIQIQQQIBBH")
+_FOOTER_SIZE = _FOOTER.size + _CRC.size + len(MAGIC)
+assert _FOOTER_SIZE == 64
 
 # Process-unique reader ids: unlike id(), never reused once a table is gone.
 _UIDS = itertools.count()
-
-
-def _pack_block(payload: bytes, spec: CodecSpec, raw_len: int) -> bytes:
-    return (
-        _BLOCK_HEADER.pack(spec.algorithm.tag, spec.level, raw_len)
-        + payload
-        + _CRC.pack(zlib.crc32(payload))
-    )
 
 
 def build_table(
@@ -78,7 +80,7 @@ def build_table(
         raise ConfigError(f"target_block_size {target_block_size} below {MIN_BLOCK_SIZE}")
 
     keys: list[bytes] = []
-    index: list[tuple[int, int, bytes]] = []  # offset, payload length, first key
+    index: list[tuple[int, bytes]] = []  # offset, first key
     offset = 0
     entry_count = 0
     raw_total = 0
@@ -129,10 +131,11 @@ def build_table(
 
     with open(path, "wb") as out:
         for first_key, raw_len, payload in compressed_blocks():
-            index.append((offset, len(payload), first_key))
+            index.append((offset, first_key))
             comp_total += len(payload)
-            out.write(_pack_block(payload, codec, raw_len))
-            offset += _BLOCK_HEADER.size + len(payload) + _CRC.size
+            header = _BLOCK_HEADER.pack(raw_len)
+            out.write(header + payload + _CRC.pack(zlib.crc32(payload, zlib.crc32(header))))
+            offset += _BLOCK_OVERHEAD + len(payload)
 
         bloom_offset = offset
         bloom_bytes = BloomFilter.build(keys, bits_per_key).to_bytes()
@@ -140,30 +143,29 @@ def build_table(
 
         index_offset = bloom_offset + len(bloom_bytes)
         index_buf = bytearray(struct.pack("<Q", len(index)))
-        for block_offset, payload_len, first_key in index:
-            index_buf += struct.pack("<QQI", block_offset, payload_len, len(first_key))
+        for block_offset, first_key in index:
+            index_buf += _INDEX_ENTRY.pack(block_offset, len(first_key))
             index_buf += first_key
         last_key = keys[-1] if keys else b""
         index_buf += struct.pack("<I", len(last_key))
         index_buf += last_key
         out.write(index_buf)
 
-        out.write(
-            _FOOTER.pack(
-                index_offset,
-                len(index_buf),
-                bloom_offset,
-                len(bloom_bytes),
-                entry_count,
-                raw_total,
-                comp_total,
-                target_block_size,
-                codec.algorithm.tag,
-                codec.level,
-                FORMAT_VERSION,
-                MAGIC,
-            )
+        footer = _FOOTER.pack(
+            index_offset,
+            len(index_buf),
+            bloom_offset,
+            len(bloom_bytes),
+            entry_count,
+            raw_total,
+            comp_total,
+            target_block_size,
+            codec.algorithm.tag,
+            codec.level,
+            FORMAT_VERSION,
         )
+        meta_crc = zlib.crc32(footer, zlib.crc32(index_buf, zlib.crc32(bloom_bytes)))
+        out.write(footer + _CRC.pack(meta_crc) + MAGIC)
 
 
 class SSTable:
@@ -185,8 +187,10 @@ class SSTable:
         self.bytes_decompressed = 0
         try:
             size = os.fstat(self._fd).st_size
-            if size < _FOOTER.size:
+            if size < _FOOTER_SIZE:
                 raise FormatError(f"{self.path}: file too small for a table footer")
+            meta_end = size - _FOOTER_SIZE
+            tail = self._read_at(meta_end, _FOOTER_SIZE)
             (
                 index_offset,
                 index_length,
@@ -199,45 +203,44 @@ class SSTable:
                 algo_tag,
                 level,
                 version,
-                magic,
-            ) = _FOOTER.unpack(self._read_at(size - _FOOTER.size, _FOOTER.size))
+            ) = _FOOTER.unpack_from(tail)
+            (meta_crc,) = _CRC.unpack_from(tail, _FOOTER.size)
+            magic = tail[-len(MAGIC) :]
             if magic != MAGIC:
                 raise FormatError(f"{self.path}: bad magic {magic!r}")
             if version != FORMAT_VERSION:
                 raise FormatError(f"{self.path}: unsupported format version {version}")
-            if index_offset + index_length > size or bloom_offset + bloom_length > size:
-                raise FormatError(f"{self.path}: section handles beyond end of file")
+            if bloom_offset + bloom_length != index_offset or index_offset + index_length != meta_end:
+                raise FormatError(f"{self.path}: bloom and index handles do not meet the footer")
             try:
                 self.codec = codec_mod.spec_from_tag(algo_tag, level)
             except (CodecConfigError, IntegrityError) as exc:
                 raise FormatError(f"{self.path}: footer names no codec: {exc}") from exc
-            self._block_codec = (algo_tag, level)
-            self.bloom = BloomFilter.from_bytes(self._read_at(bloom_offset, bloom_length))
-            self._parse_index(self._read_at(index_offset, index_length))
-            self._data_end = bloom_offset
+            meta = self._read_at(bloom_offset, meta_end - bloom_offset)
+            if zlib.crc32(tail[: _FOOTER.size], zlib.crc32(meta)) != meta_crc:
+                raise IntegrityError(f"{self.path}: CRC mismatch in bloom, index or footer")
+            self.bloom = BloomFilter.from_bytes(meta[:bloom_length])
+            self._parse_index(meta[bloom_length:], bloom_offset)
         except Exception:
             self.close()
             raise
 
-    def _parse_index(self, buf: bytes) -> None:
+    def _parse_index(self, buf: bytes, data_end: int) -> None:
         try:
             (count,) = struct.unpack_from("<Q", buf, 0)
             pos = 8
             self.block_offsets: list[int] = []
-            self.block_payload_lengths: list[int] = []
             self.first_keys: list[bytes] = []
-            prev_offset = -1
             prev_key: bytes | None = None
             for _ in range(count):
-                off, plen, klen = struct.unpack_from("<QQI", buf, pos)
-                pos += 20
+                off, klen = _INDEX_ENTRY.unpack_from(buf, pos)
+                pos += _INDEX_ENTRY.size
                 key = buf[pos : pos + klen]
                 pos += klen
-                if off <= prev_offset or (prev_key is not None and key <= prev_key):
-                    raise FormatError(f"{self.path}: index not strictly increasing")
-                prev_offset, prev_key = off, key
+                if prev_key is not None and key <= prev_key:
+                    raise FormatError(f"{self.path}: index keys not strictly increasing")
+                prev_key = key
                 self.block_offsets.append(off)
-                self.block_payload_lengths.append(plen)
                 self.first_keys.append(key)
             (lklen,) = struct.unpack_from("<I", buf, pos)
             pos += 4
@@ -246,6 +249,12 @@ class SSTable:
                 raise FormatError(f"{self.path}: missing last key")
         except struct.error as exc:
             raise FormatError(f"{self.path}: index block truncated") from exc
+        # Block i ends where block i + 1 starts; the blocks tile [0, data_end).
+        self._block_ends = self.block_offsets[1:] + [data_end]
+        if (self.block_offsets or [data_end])[0] != 0 or any(
+            end - start < _BLOCK_OVERHEAD for start, end in zip(self.block_offsets, self._block_ends)
+        ):
+            raise FormatError(f"{self.path}: index offsets leave a gap or a block too short")
 
     @property
     def first_key(self) -> bytes | None:
@@ -265,25 +274,14 @@ class SSTable:
         """Block idx, CRC-checked and decompressed, as (raw, keys, bounds):
         entry i (header, key, value) is raw[bounds[i]:bounds[i + 1]], so no
         value is copied until a caller slices it. The one entry parser."""
-        payload_len = self.block_payload_lengths[idx]
-        record = self._read_at(
-            self.block_offsets[idx], _BLOCK_HEADER.size + payload_len + _CRC.size
-        )
-        algo_tag, level, raw_len = _BLOCK_HEADER.unpack_from(record, 0)
-        payload = record[_BLOCK_HEADER.size : _BLOCK_HEADER.size + payload_len]
-        (stored_crc,) = _CRC.unpack_from(record, _BLOCK_HEADER.size + payload_len)
-        if zlib.crc32(payload) != stored_crc:
-            raise IntegrityError(
-                f"{self.path}: CRC mismatch in block {idx} at offset {self.block_offsets[idx]}"
-            )
-        # The CRC covers only the payload, so a block naming another codec
-        # than the footer's is corrupt, not a configuration to obey.
-        if (algo_tag, level) != self._block_codec:
-            raise IntegrityError(
-                f"{self.path}: block {idx} names codec tag {algo_tag} level {level}, "
-                f"table is {self.codec}"
-            )
-        raw = codec_mod.decompress(payload, self.codec, raw_len)
+        start = self.block_offsets[idx]
+        record = self._read_at(start, self._block_ends[idx] - start)
+        body_end = len(record) - _CRC.size
+        (stored_crc,) = _CRC.unpack_from(record, body_end)
+        if zlib.crc32(memoryview(record)[:body_end]) != stored_crc:
+            raise IntegrityError(f"{self.path}: CRC mismatch in block {idx} at offset {start}")
+        (raw_len,) = _BLOCK_HEADER.unpack_from(record, 0)
+        raw = codec_mod.decompress(record[_BLOCK_HEADER.size : body_end], self.codec, raw_len)
         with self._counter_lock:
             self.blocks_read += 1
             self.bytes_decompressed += raw_len

@@ -1,5 +1,6 @@
 """Shared fixtures: small synthetic corpora, store factories, a fake probe."""
 
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -8,6 +9,10 @@ from ppcstore.codec import CodecSpec
 from ppcstore.engine import KIB, MIB, StoreConfig, open_store
 from ppcstore.metrics import CounterProbe
 from ppcstore.synth import SynthSpec, generate_corpus, generate_records
+
+# A table in format version 1, which readers now reject: 60 entries in five
+# zstd:3 blocks.
+V1_TABLE = Path(__file__).parent / "fixtures" / "v1_table.ppcs"
 
 
 def small_synth_spec(files=300, seed=7, **overrides) -> SynthSpec:

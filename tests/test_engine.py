@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from ppcstore.errors import (
 from ppcstore.keys import PpcKey
 from ppcstore.sstable import SSTable, build_table
 
-from conftest import make_store_config
+from conftest import V1_TABLE, make_store_config
 
 
 def key(i: int, ext: bytes = b"py") -> PpcKey:
@@ -98,6 +99,14 @@ class TestOpenAndConfig:
         with open_store(make_store_config(d)) as engine:
             assert engine.get(key(1)) == b"x"
         assert not orphan.exists()
+
+    def test_manifest_listing_a_v1_table_raises_recovery_error(self, tmp_path):
+        d = tmp_path / "store"
+        d.mkdir()
+        shutil.copy(V1_TABLE, d / "tbl-000001.ppcs")
+        (d / "MANIFEST").write_text("ppcs-manifest v1\nseq 2\nl0 tbl-000001.ppcs\n")
+        with pytest.raises(RecoveryError, match="version 1"):
+            open_store(make_store_config(d))
 
     def test_effective_codec_reflects_stored_tables(self, tmp_path):
         d = tmp_path / "store"
@@ -593,6 +602,29 @@ class TestWalRetirement:
             wals = [n for n in os.listdir(d) if n.startswith("wal-")]
             assert len(wals) == 1  # only the fresh active segment
             assert os.path.getsize(d / wals[0]) == 0
+
+    def test_wal_that_outlives_its_flush_is_not_replayed(self, tmp_path, monkeypatch):
+        d = tmp_path / "store"
+        engine = open_store(make_store_config(d))
+        engine.put(key(1), b"old")
+        real_unlink = os.unlink
+
+        def unlink_keeping_wals(path, *args, **kwargs):
+            if str(path).endswith(".log"):
+                raise OSError("unlink refused")
+            real_unlink(path, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "unlink", unlink_keeping_wals)
+            engine.flush()
+        stale = sorted(n for n in os.listdir(d) if n.startswith("wal-"))[0]
+        engine.put(key(1), b"new")
+        engine.flush()
+        engine.close()
+        assert stale in os.listdir(d)
+        with open_store(make_store_config(d)) as engine:
+            assert engine.get(key(1)) == b"new"
+        assert stale not in os.listdir(d)
 
     def test_wal_cap_forces_flush(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine_mod, "MAX_WAL_BYTES", 1 * MIB)

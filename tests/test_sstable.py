@@ -2,12 +2,16 @@
 
 import hashlib
 import random
+import struct
+import zlib
 
 import pytest
 
 from ppcstore.codec import Algorithm, CodecSpec
 from ppcstore.errors import ConfigError, FormatError, IntegrityError, SortViolationError
 from ppcstore.sstable import SSTable, build_table
+
+from conftest import V1_TABLE
 
 ZSTD3 = CodecSpec.parse("zstd:3")
 IDENTITY = CodecSpec(Algorithm.IDENTITY)
@@ -18,6 +22,13 @@ def entries_of(count: int, value_size: int = 100, prefix: bytes = b"key") -> lis
         (b"%s-%06d" % (prefix, i), bytes([i % 251]) * value_size)
         for i in range(count)
     ]
+
+
+def reseal(blob: bytearray) -> None:
+    """Recompute the footer's CRC32 of everything from the bloom offset up
+    to that CRC field, after a deliberate edit of the metadata."""
+    (bloom_offset,) = struct.unpack_from("<Q", blob, len(blob) - 64 + 12)
+    struct.pack_into("<I", blob, len(blob) - 8, zlib.crc32(blob[bloom_offset:-8]))
 
 
 def simulate_packing(entries, target: int) -> list[int]:
@@ -202,19 +213,46 @@ class TestCorruptionAndFormat:
                 for i in range(t.block_count):
                     t.load_block(i)
 
-    @pytest.mark.parametrize("offset,value", [(1, 0), (1, 4), (1, 30), (0, 0)],
-                             ids=["level0", "level4", "level30", "algo0"])
-    def test_block_codec_bytes_unlike_footer_raise_integrity_error(self, tmp_path, offset, value):
-        # the block CRC does not cover [1B algo][1B level]; the reader checks
-        # them against the footer's codec
+    @pytest.mark.parametrize("raw_len", [0, 4143, 1 << 31, (1 << 32) - 1],
+                             ids=["zero", "plus1", "2gib", "max"])
+    def test_corrupt_raw_length_raises_integrity_error(self, tmp_path, raw_len):
+        # the block CRC covers the [4B raw length] header, so a bad one is
+        # caught before it sizes a decompression buffer
         path = self._build(tmp_path)
         blob = bytearray(path.read_bytes())
-        assert blob[:2] == bytes([ZSTD3.algorithm.tag, ZSTD3.level])
-        blob[offset] = value
+        assert struct.unpack_from("<I", blob, 0) == (19 * (8 + 10 + 200),)  # 19 entries
+        struct.pack_into("<I", blob, 0, raw_len)
         path.write_bytes(bytes(blob))
         with SSTable(path) as t:
-            with pytest.raises(IntegrityError):
+            with pytest.raises(IntegrityError, match="CRC mismatch in block 0"):
                 t.get(t.first_key)
+
+    def test_index_offset_leaving_a_short_block_raises_format_error(self, tmp_path):
+        path = self._build(tmp_path)
+        blob = bytearray(path.read_bytes())
+        (index_offset,) = struct.unpack_from("<Q", blob, len(blob) - 64)
+        # the second index entry follows [8B count][8B offset][4B key len][key]
+        (first_key_len,) = struct.unpack_from("<I", blob, index_offset + 16)
+        second = index_offset + 20 + first_key_len
+        struct.pack_into("<Q", blob, second, 7)  # block 0 spans 7 bytes: less than header + CRC
+        reseal(blob)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="too short"):
+            SSTable(path)
+
+    def test_metadata_crc_mismatch_raises_integrity_error(self, tmp_path):
+        # zeroed bloom bits would turn every present key absent
+        path = self._build(tmp_path)
+        blob = bytearray(path.read_bytes())
+        _, _, bloom_offset, bloom_length = struct.unpack_from("<QIQI", blob, len(blob) - 64)
+        blob[bloom_offset + 20 : bloom_offset + bloom_length] = bytes(bloom_length - 20)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="bloom, index or footer"):
+            SSTable(path)
+
+    def test_v1_table_raises_format_error(self):
+        with pytest.raises(FormatError, match="version 1"):
+            SSTable(V1_TABLE)
 
     @pytest.mark.parametrize("offset,value", [(-11, 0), (-11, 30), (-12, 0), (-12, 200)],
                              ids=["level0", "level30", "algo0", "algo200"])
@@ -249,3 +287,44 @@ class TestCorruptionAndFormat:
         path.write_bytes(b"tiny")
         with pytest.raises(FormatError):
             SSTable(path)
+
+
+SWEEP_CODECS = ["identity", "deflate:6", "zstd:3", "snappy"]
+
+
+@pytest.mark.parametrize("codec", SWEEP_CODECS)
+def test_every_single_byte_flip_is_detected(tmp_path, codec):
+    """Flip each byte of a small multi-block table in turn: opening raises
+    FormatError or IntegrityError, or a full scan raises IntegrityError.
+    Wrong or missing data, an undetected flip or any other error fails."""
+    rnd = random.Random(4)
+    words = [b"def", b"return", b"self", b"import", b"value", b"(x)", b"\n    "]
+    entries = [
+        (b"py\x00mod%03d" % i, b" ".join(rnd.choice(words) for _ in range(30)))
+        for i in range(50)
+    ]
+    path = tmp_path / "sweep.ppcs"
+    build_table(path, entries, target_block_size=1024, codec=CodecSpec.parse(codec))
+    clean = path.read_bytes()
+    with SSTable(path) as t:
+        assert t.block_count >= 4 and list(t.scan()) == entries
+    assert len(clean) <= 10 * 1024
+    undetected = []
+    with open(path, "r+b") as f:
+        for pos in range(len(clean)):
+            f.seek(pos)
+            f.write(bytes([clean[pos] ^ 0xFF]))
+            f.flush()
+            try:
+                with SSTable(path) as t:
+                    try:
+                        scanned = list(t.scan())
+                    except IntegrityError:
+                        scanned = None
+            except (FormatError, IntegrityError):
+                scanned = None
+            if scanned is not None:
+                undetected.append((pos, scanned == entries))
+            f.seek(pos)
+            f.write(clean[pos : pos + 1])
+    assert undetected == [], f"{len(undetected)} of {len(clean)} flips went undetected"

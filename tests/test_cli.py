@@ -132,6 +132,29 @@ def test_verify_reports_corrupt_block_header_as_data_error(corpus, tmp_path, cap
     assert main(["verify", str(corpus), "--data-dir", str(data_dir)]) == 2
 
 
+@pytest.mark.parametrize("offset,value", [(53, 0), (53, 4), (53, 30), (52, 0)],
+                         ids=["level0", "level4", "level30", "algo0"])
+def test_verify_reports_corrupt_block_codec_bytes_as_data_error(
+    corpus, tmp_path, capsys, offset, value
+):
+    # the footer's [1B algo][1B level] name the codec of every data block
+    data_dir = tmp_path / "store"
+    assert main(
+        ["build", str(corpus), "--data-dir", str(data_dir), "--codec", "zstd:3",
+         "--write-buffer-mib", "4", "--energy", "off"]
+    ) == 0
+    tables = sorted(data_dir.glob("*.ppcs"))
+    assert tables
+    for table in tables:
+        blob = bytearray(table.read_bytes())
+        footer = len(blob) - 64
+        assert blob[footer + offset] != value
+        blob[footer + offset] = value
+        table.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["verify", str(corpus), "--data-dir", str(data_dir)]) == 2
+
+
 def test_bad_codec_is_usage_error(corpus, tmp_path, capsys):
     rc = main(
         ["build", str(corpus), "--data-dir", str(tmp_path / "s"), "--codec", "zstd:99"]

@@ -6,10 +6,10 @@ measures the space/time/energy trade-off across codec, block-size, and
 thread-count configurations.
 """
 
-from .codec import Algorithm, CodecSpec, compress, compression_ratio, decompress
+from .codec import Algorithm, CodecSpec, compress, decompress
 from .corpus import CorpusRecord, canonical_filename, parse_record_stream, serialize_record
 from .engine import Engine, StoreConfig, open_store
-from .keys import PpcKey, decode, derive_key, encode
+from .keys import PpcKey, decode, derive_key
 from .tiercache import AdmissionPolicy, SimulatedBackend, TieredStore
 from .workload import Distribution, WorkloadSpec, make_batches, sample
 
@@ -29,11 +29,9 @@ __all__ = [
     "WorkloadSpec",
     "canonical_filename",
     "compress",
-    "compression_ratio",
     "decode",
     "decompress",
     "derive_key",
-    "encode",
     "make_batches",
     "open_store",
     "parse_record_stream",

@@ -4,6 +4,7 @@ Exit codes: 0 ok, 1 usage, 2 data/integrity problem, 3 I/O failure.
 """
 
 import argparse
+import errno
 import logging
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 from . import bench
 from .codec import CodecSpec
 from .corpus import parse_record_stream, serialize_record
-from .engine import KIB, MIB, StoreConfig, open_store
+from .engine import KIB, MIB, Engine, StoreConfig, open_store
 from .errors import ConfigError, CorpusError, StoreError
 from .keys import derive_key
 from .metrics import auto_probe, pareto_frontier, read_report_csv, write_report_csv
@@ -59,6 +60,13 @@ def _store_config(args) -> StoreConfig:
         bits_per_key=args.bits_per_key,
         capacity_m=args.capacity_mib * MIB if args.capacity_mib else None,
     )
+
+
+def _open_existing_store(data_dir: str) -> Engine:
+    """Open the store in data_dir; unlike build, never create one."""
+    if not Path(data_dir).is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no store directory", data_dir)
+    return open_store(StoreConfig(data_dir=data_dir))
 
 
 def _add_store_flags(p) -> None:
@@ -160,8 +168,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    config = StoreConfig(data_dir=args.data_dir)
-    with open_store(config) as engine:
+    with _open_existing_store(args.data_dir) as engine:
         probe = auto_probe(args.energy)
         dist = Distribution.UNIFORM_DISTINCT if args.dist == "uniform" else Distribution.POWER_LAW
         row = bench.query_store(
@@ -197,8 +204,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = StoreConfig(data_dir=args.data_dir)
-    with open_store(config) as engine:
+    with _open_existing_store(args.data_dir) as engine:
         report = bench.verify_store(engine, args.corpus)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_DATA

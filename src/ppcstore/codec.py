@@ -6,8 +6,8 @@ on); deflate uses the stdlib zlib. libsnappy is optional: where it cannot
 be loaded, snappy falls back to the pure-Python raw-format codec in
 `rawsnappy`, which writes the same format but holds the GIL and is far
 slower, so snappy timings taken without libsnappy say nothing about
-snappy's speed. Each algorithm carries a stable 1-byte tag so compressed
-blocks are self-describing on disk.
+snappy's speed. Each algorithm carries a stable 1-byte tag, which a table's
+footer records so the table names its own codec.
 
 Decompression requires the raw size, which table block headers record: it
 sizes the output and the result must match it.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rawsnappy
-from .errors import CodecConfigError, IntegrityError, UndefinedRatioError
+from .errors import CodecConfigError, IntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -292,19 +292,8 @@ def decompress(compressed: bytes, spec: CodecSpec, expected_size: int) -> bytes:
     return out
 
 
-def compression_ratio(compressed_size: int, raw_size: int) -> float:
-    """compressed/raw; lower is better. Undefined for zero raw bytes."""
-    if raw_size <= 0:
-        raise UndefinedRatioError("compression ratio undefined for raw_size = 0")
-    return compressed_size / raw_size
-
-
-def algorithm_from_tag(tag: int) -> Algorithm:
+def spec_from_tag(tag: int, level: int) -> CodecSpec:
     try:
-        return _BY_TAG[tag]
+        return CodecSpec(_BY_TAG[tag], level)
     except KeyError:
         raise IntegrityError(f"unknown algorithm tag {tag}") from None
-
-
-def spec_from_tag(tag: int, level: int) -> CodecSpec:
-    return CodecSpec(algorithm_from_tag(tag), level)

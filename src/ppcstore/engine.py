@@ -8,6 +8,10 @@ tuple and the memtable reference, both swapped atomically.
 Directory layout: MANIFEST (text), wal-<seq>.log, tbl-<seq>.ppcs. The
 manifest's "log <seq>" line names the oldest WAL whose records are not all in
 tables; recovery deletes older WALs without replaying them.
+
+Durability covers a process crash only: nothing is fsynced, not WAL records,
+table files, the manifest's tmp file nor the directory, so an OS crash or a
+power loss can lose acknowledged writes or the last manifest replace.
 """
 
 import heapq
@@ -109,7 +113,7 @@ def _unwrap(wrapped: bytes) -> bytes | None:
 
 
 class Engine:
-    """Open with Engine.open(config) or the open_store() convenience."""
+    """Open with open_store(config)."""
 
     def __init__(self, config: StoreConfig):
         self.config = config
@@ -127,12 +131,6 @@ class Engine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @classmethod
-    def open(cls, config: StoreConfig) -> "Engine":
-        engine = cls(config)
-        engine._recover()
-        return engine
-
     def _recover(self) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
         l0_names: list[str] = []
@@ -141,6 +139,17 @@ class Engine:
         log_floor = 0
         if manifest.exists():
             l0_names, l1_names, self._seq, log_floor = self._parse_manifest(manifest)
+
+        # Every check runs before recovery deletes any file.
+        try:
+            l0 = tuple(SSTable(self.dir / name) for name in l0_names)
+            l1 = tuple(SSTable(self.dir / name) for name in l1_names)
+        except (OSError, StoreError) as exc:
+            raise RecoveryError(f"cannot open tables from manifest: {exc}") from exc
+        for prev, table in zip((None,) + l1, l1):
+            if table.first_key is None or (prev is not None and table.first_key <= prev.last_key):
+                raise RecoveryError(f"{manifest}: L1 table {table.path} is empty or out of key order")
+        self._install_tables(l0, l1)
 
         listed = set(l0_names) | set(l1_names)
         max_file_seq = 0
@@ -157,13 +166,6 @@ class Engine:
             if m:
                 max_file_seq = max(max_file_seq, int(m.group(1)))
         self._seq = max(self._seq, max_file_seq + 1)
-
-        try:
-            l0 = tuple(SSTable(self.dir / name) for name in l0_names)
-            l1 = tuple(SSTable(self.dir / name) for name in l1_names)
-        except (OSError, StoreError) as exc:
-            raise RecoveryError(f"cannot open tables from manifest: {exc}") from exc
-        self._install_tables(l0, l1)
 
         wal_paths = sorted((p for p in self.dir.iterdir() if _WAL_RE.match(p.name)), key=_wal_seq)
         self._replayed_wals = []
@@ -207,10 +209,10 @@ class Engine:
                     numbers[parts[0]] = int(parts[1])
                 except ValueError:
                     raise RecoveryError(f"{path}: bad {parts[0]} number {parts[1]!r}") from None
-            elif parts[0] == "l0":
-                l0.append(parts[1])
+            elif not _TABLE_RE.fullmatch(parts[1]):
+                raise RecoveryError(f"{path}: bad table name {parts[1]!r}")
             else:
-                l1.append(parts[1])
+                (l0 if parts[0] == "l0" else l1).append(parts[1])
         for name in l0 + l1:
             if not (self.dir / name).exists():
                 raise RecoveryError(f"{path}: manifest references missing table {name}")
@@ -332,11 +334,7 @@ class Engine:
             self._write_manifest()  # its log line now retires every older WAL
             self._memtable = {}
             self._memtable_raw = 0
-            for path in retired:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            _unlink_quietly(retired)
 
     def _build_new_table(self, entries: Iterable[tuple[bytes, bytes]]) -> SSTable:
         """Write entries as the next table file; a failed build removes it."""
@@ -378,21 +376,14 @@ class Engine:
             except BaseException:
                 for t in new_tables:
                     t.close()
-                    try:
-                        os.unlink(t.path)
-                    except OSError:
-                        pass
+                _unlink_quietly(t.path for t in new_tables)
                 raise
 
             self._install_tables((), tuple(new_tables))
             self._write_manifest()
             # Old table objects stay open until readers drop them; the files
             # can be unlinked immediately (POSIX keeps data reachable by fd).
-            for t in inputs:
-                try:
-                    os.unlink(t.path)
-                except OSError:
-                    pass
+            _unlink_quietly(t.path for t in inputs)
 
     # -- read path ---------------------------------------------------------
 
@@ -592,6 +583,16 @@ def _newest_wins(streams: list[Iterable[tuple[bytes, bytes]]]) -> Iterator[tuple
             yield key, wrapped
 
 
+def _unlink_quietly(paths: Iterable) -> None:
+    """Unlink each path, ignoring OSError: a file left behind is one recovery
+    removes (an orphan table, or a WAL below the manifest's log line)."""
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
 def _run(entries: Iterator[tuple[bytes, bytes]], limit: int) -> Iterator[tuple[bytes, bytes]]:
     """Entries through the one that brings their key plus value bytes to limit."""
     size = 0
@@ -603,4 +604,6 @@ def _run(entries: Iterator[tuple[bytes, bytes]], limit: int) -> Iterator[tuple[b
 
 
 def open_store(config: StoreConfig) -> Engine:
-    return Engine.open(config)
+    engine = Engine(config)
+    engine._recover()
+    return engine

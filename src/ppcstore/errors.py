@@ -43,10 +43,6 @@ class CodecConfigError(ConfigError):
     """Unsupported compression algorithm/level combination."""
 
 
-class UndefinedRatioError(StoreError):
-    """Compression ratio requested for zero raw bytes."""
-
-
 class IntegrityError(StoreError):
     """Stored data failed a checksum or decompression check."""
 
@@ -80,12 +76,9 @@ class WorkloadSpecError(StoreError):
 
 
 class ReportFieldError(StoreError):
-    """A report row is missing a field required by the requested objectives."""
+    """A report row lacks a field the objectives need, or a report CSV cell
+    does not parse as its column's type."""
 
 
 class TierError(StoreError):
     """Backend transport failure (distinct from a clean miss)."""
-
-    def __init__(self, message: str, cache_missed: bool = True):
-        self.cache_missed = cache_missed
-        super().__init__(message)

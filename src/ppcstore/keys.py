@@ -35,12 +35,6 @@ class PpcKey:
     def encoded(self) -> bytes:
         return self.extension + SEP + self.basename + SEP + self.content_id
 
-    def display(self) -> str:
-        """Human form of the grouping prefix, e.g. 'h.doxygen'."""
-        ext = self.extension.decode("utf-8", "replace")
-        base = self.basename.decode("utf-8", "replace")
-        return f"{ext}.{base}" if ext else base
-
 
 def derive_key(canonical_name: str, content_id: str) -> PpcKey:
     """Split a canonical filename into (extension, basename) key parts.
@@ -67,12 +61,8 @@ def derive_key(canonical_name: str, content_id: str) -> PpcKey:
     return PpcKey(extension.encode(), basename.encode(), content_id.encode())
 
 
-def encode(key: PpcKey) -> bytes:
-    return key.encoded()
-
-
 def decode(data: bytes) -> PpcKey:
-    """Inverse of encode; rejects inputs without exactly two separators."""
+    """Inverse of PpcKey.encoded; rejects inputs without exactly two separators."""
     parts = data.split(SEP)
     if len(parts) != 3:
         raise MalformedKeyError(

@@ -11,8 +11,8 @@ import csv
 import glob
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Sequence, get_args
 
 from .errors import ReportFieldError
 
@@ -157,13 +157,6 @@ def efficiency_mb_j(m: Measurement) -> float | None:
     return m.bytes_processed / 1e6 / m.joules
 
 
-CSV_HEADER = [
-    "phase", "codec", "level", "block_kib", "threads", "distribution",
-    "batch", "runs", "bytes", "seconds", "joules", "mib_per_s", "mb_per_j",
-    "ratio",
-]
-
-
 @dataclass(slots=True)
 class ReportRow:
     """One cell of the benchmark matrix, as persisted to CSV."""
@@ -215,6 +208,13 @@ class ReportRow:
         )
 
 
+CSV_HEADER = [f.name for f in fields(ReportRow)]
+
+# (column, type, may be empty): a field typed T | None reads an empty cell
+# as None; every other cell must parse as its field's type.
+_COLUMNS = [(f.name, (get_args(f.type) or (f.type,))[0], bool(get_args(f.type))) for f in fields(ReportRow)]
+
+
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -234,26 +234,17 @@ def write_report_csv(path, rows: Iterable[ReportRow]) -> None:
 def read_report_csv(path) -> list[ReportRow]:
     rows: list[ReportRow] = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for record in reader:
-            rows.append(
-                ReportRow(
-                    phase=record["phase"],
-                    codec=record["codec"],
-                    level=int(record["level"] or 0),
-                    block_kib=float(record["block_kib"] or 0),
-                    threads=int(record["threads"] or 1),
-                    distribution=record["distribution"],
-                    batch=int(record["batch"] or 1),
-                    runs=int(record["runs"] or 1),
-                    bytes=int(record["bytes"] or 0),
-                    seconds=float(record["seconds"] or 0),
-                    joules=float(record["joules"]) if record["joules"] else None,
-                    mib_per_s=float(record["mib_per_s"] or 0),
-                    mb_per_j=float(record["mb_per_j"]) if record["mb_per_j"] else None,
-                    ratio=float(record["ratio"]) if record["ratio"] else None,
-                )
-            )
+        for number, record in enumerate(csv.DictReader(f), start=1):
+            values = {}
+            for name, kind, optional in _COLUMNS:
+                cell = record.get(name) or ""  # a short row's missing cells are empty
+                try:
+                    values[name] = None if optional and not cell else kind(cell)
+                except ValueError:
+                    raise ReportFieldError(
+                        f"{path}: row {number}, column {name!r}: cannot read {cell!r} as {kind.__name__}"
+                    ) from None
+            rows.append(ReportRow(**values))
     return rows
 
 

@@ -33,6 +33,7 @@ import struct
 import threading
 import zlib
 from bisect import bisect_right
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
@@ -71,10 +72,10 @@ def build_table(
     """Write a table from strictly key-increasing (encoded key, value) pairs.
 
     entries is read once, while writing, so it may be a generator; on an
-    exception the partly written file is left for the caller to remove. Block
-    compression runs on up to compress_threads workers (the codec bindings
-    release the GIL); blocks are written in order either way. Returns None:
-    the footer holds the entry, block and byte totals.
+    exception the partly written file is left for the caller to remove. Blocks
+    are compressed by a pool of compress_threads workers (the codec bindings
+    release the GIL), at most 3 per worker ahead of the writer, and written in
+    order. Returns None: the footer holds the entry, block and byte totals.
     """
     if target_block_size < MIN_BLOCK_SIZE:
         raise ConfigError(f"target_block_size {target_block_size} below {MIN_BLOCK_SIZE}")
@@ -114,17 +115,12 @@ def build_table(
             yield first_key, bytes(cur)
 
     def compressed_blocks() -> Iterator[tuple[bytes, int, bytes]]:
-        source = raw_blocks()
-        if compress_threads <= 1:
-            for first_key, raw in source:
-                yield first_key, len(raw), codec_mod.compress(raw, codec)
-            return
         with ThreadPoolExecutor(max_workers=compress_threads) as pool:
-            pending = []
-            for first_key, raw in source:
+            pending = deque()
+            for first_key, raw in raw_blocks():
                 pending.append((first_key, len(raw), pool.submit(codec_mod.compress, raw, codec)))
                 if len(pending) > compress_threads * 3:
-                    fk, rl, fut = pending.pop(0)
+                    fk, rl, fut = pending.popleft()
                     yield fk, rl, fut.result()
             for fk, rl, fut in pending:
                 yield fk, rl, fut.result()
@@ -259,10 +255,6 @@ class SSTable:
     @property
     def first_key(self) -> bytes | None:
         return self.first_keys[0] if self.first_keys else None
-
-    @property
-    def block_count(self) -> int:
-        return len(self.block_offsets)
 
     def _read_at(self, offset: int, length: int) -> bytes:
         data = os.pread(self._fd, length, offset)

@@ -7,7 +7,6 @@ value can be admitted into the cache under its proper position.
 """
 
 import threading
-import time
 from enum import Enum
 from typing import IO, Iterable, Protocol
 
@@ -30,32 +29,18 @@ class BackendClient(Protocol):
 
 
 class SimulatedBackend:
-    """In-memory slow tier with a simple service-time model.
+    """In-memory stand-in for the content-addressed tier; counts fetches."""
 
-    Observed service time is at least latency_per_request plus
-    size/bandwidth, mimicking an object store that is correct but slow.
-    """
+    name = "simulated-backend"
 
-    def __init__(
-        self,
-        contents: dict[str, bytes],
-        *,
-        latency_per_request: float = 0.0,
-        bandwidth: float | None = None,
-        name: str = "simulated-backend",
-    ):
-        self.name = name
+    def __init__(self, contents: dict[str, bytes]):
         self._contents = dict(contents)
-        self.latency_per_request = latency_per_request
-        self.bandwidth = bandwidth
         self.fetch_calls = 0
-        self.bytes_served = 0
         self._lock = threading.Lock()
 
     @classmethod
-    def from_corpus(cls, stream: IO[bytes] | Iterable[bytes], **kwargs) -> "SimulatedBackend":
-        contents = {r.content_id: r.content for r in parse_record_stream(stream)}
-        return cls(contents, **kwargs)
+    def from_corpus(cls, stream: IO[bytes] | Iterable[bytes]) -> "SimulatedBackend":
+        return cls({r.content_id: r.content for r in parse_record_stream(stream)})
 
     def total_bytes(self) -> int:
         return sum(len(v) for v in self._contents.values())
@@ -63,15 +48,7 @@ class SimulatedBackend:
     def fetch(self, content_id: str) -> bytes | None:
         with self._lock:
             self.fetch_calls += 1
-            value = self._contents.get(content_id)
-            if value is not None:
-                self.bytes_served += len(value)
-        delay = self.latency_per_request
-        if value is not None and self.bandwidth:
-            delay += len(value) / self.bandwidth
-        if delay > 0:
-            time.sleep(delay)
-        return value
+        return self._contents.get(content_id)
 
 
 class TieredStore:

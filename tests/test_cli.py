@@ -47,6 +47,25 @@ def test_missing_corpus_is_io_error(tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "nope.jsonl")]) == 3
 
 
+@pytest.mark.parametrize("command", ["query", "verify"])
+def test_missing_store_dir_is_io_error_and_creates_nothing(corpus, tmp_path, capsys, command):
+    missing = tmp_path / "typo"
+    argv = [command, "--data-dir", str(missing)] + ([str(corpus)] if command == "verify" else [])
+    assert main(argv) == 3
+    assert "no store directory" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_report_with_unreadable_cell_is_data_error(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    path.write_text(
+        "phase,codec,level,block_kib,threads,distribution,batch,runs,bytes,seconds,"
+        "joules,mib_per_s,mb_per_j,ratio\nbuild,zstd,x3,64,1,,1,1,1000,1,,1,,0.5\n"
+    )
+    assert main(["report", str(path)]) == 2
+    assert "column 'level'" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["build"])  # missing corpus and --data-dir

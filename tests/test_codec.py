@@ -1,4 +1,4 @@
-"""Compression layer: round trips, corruption handling, ratio arithmetic."""
+"""Compression layer: round trips, corruption handling, relative sizes."""
 
 import collections
 import logging
@@ -18,10 +18,9 @@ from ppcstore.codec import (
     Algorithm,
     CodecSpec,
     compress,
-    compression_ratio,
     decompress,
 )
-from ppcstore.errors import CodecConfigError, IntegrityError, UndefinedRatioError
+from ppcstore.errors import CodecConfigError, IntegrityError
 from ppcstore.sstable import build_table
 
 BLOCK = 16 * 1024
@@ -272,9 +271,9 @@ class TestCompressionBehaviour:
         line = b"x" * 40 + b"line of the corpus body\n"
         assert len(line) == 64
         raw = line * ((1 << 20) // 64)
-        r9 = compression_ratio(len(compress(raw, CodecSpec.parse("zstd:9"))), len(raw))
-        r3 = compression_ratio(len(compress(raw, CodecSpec.parse("zstd:3"))), len(raw))
-        rs = compression_ratio(len(compress(raw, CodecSpec(Algorithm.SNAPPY))), len(raw))
+        r9 = len(compress(raw, CodecSpec.parse("zstd:9"))) / len(raw)
+        r3 = len(compress(raw, CodecSpec.parse("zstd:3"))) / len(raw)
+        rs = len(compress(raw, CodecSpec(Algorithm.SNAPPY))) / len(raw)
         assert r9 <= r3 <= rs
 
 
@@ -326,14 +325,7 @@ class TestSnappyInterop:
 
 
 class TestRatio:
-    def test_plain_arithmetic(self):
-        assert compression_ratio(19, 100) == pytest.approx(0.19)
-
     def test_identity_ratio_is_exactly_one(self):
         raw = b"q" * 1000
         comp = compress(raw, CodecSpec(Algorithm.IDENTITY))
-        assert compression_ratio(len(comp), len(raw)) == 1.0
-
-    def test_zero_raw_size_is_undefined(self):
-        with pytest.raises(UndefinedRatioError):
-            compression_ratio(0, 0)
+        assert len(comp) == len(raw)

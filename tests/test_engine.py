@@ -35,6 +35,10 @@ def key(i: int, ext: bytes = b"py") -> PpcKey:
     return PpcKey(ext, b"module_%05d" % i, b"id%05d" % i)
 
 
+def _file_contents(d: Path) -> dict[str, bytes]:
+    return {name: (d / name).read_bytes() for name in os.listdir(d)}
+
+
 def fill(engine: Engine, n: int, value_size: int = 100, seed: int = 0) -> dict[PpcKey, bytes]:
     rnd = random.Random(seed)
     data = {}
@@ -87,6 +91,48 @@ class TestOpenAndConfig:
                 os.unlink(d / entry)
         with pytest.raises(RecoveryError):
             open_store(make_store_config(d))
+
+    def test_manifest_naming_a_table_outside_the_store_raises(self, tmp_path):
+        other = tmp_path / "other"
+        with open_store(make_store_config(other)) as engine:
+            engine.put(key(1), b"other store's value")
+            engine.flush()
+        (foreign,) = [n for n in os.listdir(other) if n.endswith(".ppcs")]
+        d = tmp_path / "store"
+        with open_store(make_store_config(d)) as engine:
+            engine.put(key(2), b"x")
+            engine.flush()
+        (d / "tbl-000900.ppcs").write_bytes(b"orphan")
+        with open(d / "MANIFEST", "a") as f:
+            f.write(f"l0 ../other/{foreign}\n")
+        files = _file_contents(d)
+        with pytest.raises(RecoveryError, match="bad table name"):
+            open_store(make_store_config(d))
+        assert _file_contents(d) == files
+        assert (other / foreign).exists()
+
+    @pytest.mark.parametrize("fault", ["reversed", "empty"])
+    def test_manifest_listing_l1_out_of_key_order_raises(self, tmp_path, fault):
+        d = tmp_path / "store"
+        with open_store(make_store_config(d, write_buffer_bytes=1 * MIB)) as engine:
+            fill(engine, 2_000, value_size=2_000)
+            engine.flush()
+            engine.compact()
+            assert len(engine._tables[1]) >= 3
+        lines = (d / "MANIFEST").read_text().splitlines()
+        head = [line for line in lines if not line.startswith("l1 ")]
+        l1 = [line for line in lines if line.startswith("l1 ")]
+        if fault == "reversed":
+            l1.reverse()
+        else:
+            build_table(d / "tbl-000950.ppcs", [], target_block_size=4096, codec=CodecSpec.parse("zstd:3"))
+            l1.insert(1, "l1 tbl-000950.ppcs")
+        (d / "MANIFEST").write_text("\n".join(head + l1) + "\n")
+        (d / "tbl-000900.ppcs").write_bytes(b"orphan")
+        files = _file_contents(d)
+        with pytest.raises(RecoveryError, match="empty or out of key order"):
+            open_store(make_store_config(d))
+        assert _file_contents(d) == files
 
     def test_orphan_table_removed_at_open(self, tmp_path):
         # a table written just before a crash, never committed to the manifest
@@ -311,6 +357,32 @@ class TestFlushAndCompact:
         before = store.stats()["compressed_bytes"]
         store.compact()
         assert store.stats()["compressed_bytes"] <= before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_retired_tables_close_once_no_snapshot_holds_them(self, tmp_path):
+        def open_paths() -> set[str]:
+            paths = set()
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    paths.add(os.readlink(f"/proc/self/fd/{fd}").removesuffix(" (deleted)"))
+                except OSError:
+                    pass  # the fd of the listing itself, closed by now
+            return paths
+
+        with open_store(make_store_config(tmp_path / "store")) as engine:
+            for i in range(5):
+                engine.put(key(i), b"value-%d" % i)
+                engine.flush()
+            snapshot = engine._tables
+            retired = {os.path.realpath(t.path) for t in snapshot[0]}
+            assert len(retired) == 5 and retired <= open_paths()
+            engine.compact()
+            assert retired <= open_paths() and not any(map(os.path.exists, retired))
+            # a reader holding the old snapshot still reads the unlinked files
+            assert engine_mod._lookup(key(3).encoded(), {}, snapshot, SSTable.get) == b"value-3"
+            del snapshot
+            assert not retired & open_paths()
+            assert engine.get(key(3)) == b"value-3"
 
     def test_obsolete_files_deleted_after_compaction(self, tmp_path):
         d = tmp_path / "store"
@@ -701,7 +773,7 @@ class TestCompactionOutput:
             # a middle block of a later table: the merge opens every input's
             # first block, and completes an output table, before reaching it
             victim = l1[1]
-            mid = victim.block_count // 2
+            mid = len(victim.block_offsets) // 2
             bad_lo, bad_hi = victim.first_keys[mid], victim.first_keys[mid + 1]
             with open(victim.path, "r+b") as f:
                 f.seek((victim.block_offsets[mid] + victim.block_offsets[mid + 1]) // 2)

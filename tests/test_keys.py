@@ -7,7 +7,7 @@ import pytest
 from ppcstore import codec
 from ppcstore.codec import CodecSpec
 from ppcstore.errors import InvalidNameError, MalformedKeyError
-from ppcstore.keys import PpcKey, decode, derive_key, encode
+from ppcstore.keys import PpcKey, decode, derive_key
 from ppcstore.synth import generate_records
 
 from conftest import small_synth_spec
@@ -18,7 +18,6 @@ class TestDeriveKey:
         key = derive_key("doxygen.h", "id1")
         assert key.extension == b"h"
         assert key.basename == b"doxygen"
-        assert key.display() == "h.doxygen"
 
     def test_no_dot_means_empty_extension(self):
         key = derive_key("README", "id1")
@@ -55,13 +54,13 @@ class TestDeriveKey:
 class TestEncodeDecode:
     def test_wire_form(self):
         key = PpcKey(b"py", b"main", b"X1")
-        assert encode(key) == b"py\x00main\x00X1"
+        assert key.encoded() == b"py\x00main\x00X1"
 
     def test_extension_dominates_order(self):
         # "z.c" groups before "a.py" because extension compares first
         k_c = derive_key("z.c", "i")
         k_py = derive_key("a.py", "i")
-        assert encode(k_c) < encode(k_py)
+        assert k_c.encoded() < k_py.encoded()
 
     def test_decode_inverse(self):
         assert decode(b"py\x00main\x00X1") == PpcKey(b"py", b"main", b"X1")
@@ -90,7 +89,7 @@ class TestEncodeDecode:
 
         for _ in range(1000):
             key = PpcKey(field(0), field(), field())
-            encoded = encode(key)
+            encoded = key.encoded()
             # independent oracle: the encoding must split on NUL into the fields
             assert encoded.split(b"\x00") == [key.extension, key.basename, key.content_id]
             assert decode(encoded) == key
@@ -109,7 +108,7 @@ class TestOrderingProperties:
         keys = [self._random_key(rnd) for _ in range(500)]
         for a, b in zip(keys, keys[1:]):
             tuple_lt = (a.extension, a.basename, a.content_id) < (b.extension, b.basename, b.content_id)
-            assert tuple_lt == (encode(a) < encode(b))
+            assert tuple_lt == (a.encoded() < b.encoded())
 
     def test_sorted_keys_group_by_extension_then_basename(self):
         rnd = random.Random(5)
@@ -118,7 +117,7 @@ class TestOrderingProperties:
             PpcKey(rnd.choice(exts), rnd.choice([b"a", b"bb", b"ccc"]), f"id{i}".encode())
             for i in range(300)
         ]
-        encoded = sorted(encode(k) for k in keys)
+        encoded = sorted(k.encoded() for k in keys)
         groups = [decode(e).extension for e in encoded]
         # each extension appears in exactly one contiguous run
         seen = set()
@@ -148,7 +147,7 @@ def test_ppc_order_compresses_better_than_random(spec_text):
     files = []
     for r in records:
         name = r.filename_candidates[0][0]
-        files.append((encode(derive_key(name, r.content_id)), r.content))
+        files.append((derive_key(name, r.content_id).encoded(), r.content))
 
     avg = sum(len(c) for _, c in files) // len(files)
     block_size = max(64 * 1024, 2 * avg)

@@ -204,6 +204,7 @@ class TestCsv:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
         loaded = read_report_csv(path)
+        assert loaded == rows
         assert loaded[0].ratio == pytest.approx(0.25)
         assert loaded[0].joules is None
         assert loaded[1].joules == pytest.approx(7.5)
@@ -216,3 +217,16 @@ class TestCsv:
         cells = line.split(",")
         assert cells[CSV_HEADER.index("joules")] == ""
         assert cells[CSV_HEADER.index("mb_per_j")] == ""
+
+    @pytest.mark.parametrize(
+        "column, cell", [("level", "x3"), ("level", ""), ("threads", ""), ("seconds", "fast")]
+    )
+    def test_bad_or_empty_required_cell_names_row_and_column(self, tmp_path, column, cell):
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [row(0.5, 10.0), row(0.4, 20.0)])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[CSV_HEADER.index(column)] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+        with pytest.raises(ReportFieldError, match=f"row 2, column '{column}'"):
+            read_report_csv(path)

@@ -53,22 +53,22 @@ class TestBuildPacking:
         path = tmp_path / "t.ppcs"
         build_table(path, entries, target_block_size=4096, codec=IDENTITY)
         with SSTable(path) as table:
-            assert table.block_count == 3
-            per_block = [len(table.load_block(i)[0]) for i in range(table.block_count)]
+            assert len(table.block_offsets) == 3
+            per_block = [len(table.load_block(i)[0]) for i in range(len(table.block_offsets))]
             assert per_block == expected
 
     def test_oversized_entry_gets_own_block(self, tmp_path):
         entries = [(b"big", b"z" * (1 << 20))]
         build_table(tmp_path / "t.ppcs", entries, target_block_size=4096, codec=ZSTD3)
         with SSTable(tmp_path / "t.ppcs") as table:
-            assert table.block_count == 1
+            assert len(table.block_offsets) == 1
             assert table.get(b"big") == b"z" * (1 << 20)
 
     def test_empty_table_is_valid(self, tmp_path):
         path = tmp_path / "empty.ppcs"
         build_table(path, [], target_block_size=4096, codec=ZSTD3)
         with SSTable(path) as table:
-            assert table.block_count == 0 and table.entry_count == 0
+            assert len(table.block_offsets) == 0 and table.entry_count == 0
             assert table.get(b"anything") is None
             assert table.blocks_read == 0
             assert list(table.scan()) == []
@@ -210,7 +210,7 @@ class TestCorruptionAndFormat:
         path.write_bytes(bytes(blob))
         with SSTable(path) as t:
             with pytest.raises(IntegrityError):
-                for i in range(t.block_count):
+                for i in range(len(t.block_offsets)):
                     t.load_block(i)
 
     @pytest.mark.parametrize("raw_len", [0, 4143, 1 << 31, (1 << 32) - 1],
@@ -307,7 +307,7 @@ def test_every_single_byte_flip_is_detected(tmp_path, codec):
     build_table(path, entries, target_block_size=1024, codec=CodecSpec.parse(codec))
     clean = path.read_bytes()
     with SSTable(path) as t:
-        assert t.block_count >= 4 and list(t.scan()) == entries
+        assert len(t.block_offsets) >= 4 and list(t.scan()) == entries
     assert len(clean) <= 10 * 1024
     undetected = []
     with open(path, "r+b") as f:

@@ -7,7 +7,11 @@ tuple and the memtable reference, both swapped atomically.
 
 Directory layout: MANIFEST (text), wal-<seq>.log, tbl-<seq>.ppcs. The
 manifest's "log <seq>" line names the oldest WAL whose records are not all in
-tables; recovery deletes older WALs without replaying them.
+tables. An open only reads: recovery replays the WALs at or above that line
+and deletes nothing. A session's first write creates its WAL, and close()
+flushes only what the session wrote. Each manifest write deletes the tables
+it does not name and the WALs below its log line, so an orphan table from a
+crash, or a file whose unlink failed, goes at the next flush or compaction.
 
 Durability covers a process crash only: nothing is fsynced, not WAL records,
 table files, the manifest's tmp file nor the directory, so an OS crash or a
@@ -16,7 +20,6 @@ power loss can lose acknowledged writes or the last manifest replace.
 
 import heapq
 import itertools
-import logging
 import os
 import re
 import threading
@@ -38,8 +41,6 @@ from .errors import (
 )
 from .keys import PpcKey
 from .sstable import MIN_BLOCK_SIZE, SSTable, build_table
-
-logger = logging.getLogger(__name__)
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -100,8 +101,9 @@ class StoreConfig:
             raise ConfigError("capacity_m must be >= write_buffer_bytes")
 
 
-def _wal_seq(path: Path) -> int:
-    return int(_WAL_RE.match(path.name).group(1))
+def _numbered(names: Iterable[str], pattern: re.Pattern) -> dict[int, str]:
+    """Seq to name of each name that pattern (_TABLE_RE or _WAL_RE) matches."""
+    return {int(m.group(1)): m.group(0) for m in map(pattern.match, names) if m}
 
 
 def _wrap(value: bytes | _Tombstone) -> bytes:
@@ -125,22 +127,21 @@ class Engine:
         self._tables: tuple[tuple[SSTable, ...], tuple[SSTable, ...], tuple[bytes, ...]] = ((), (), ())
         self._seq = 0
         self._wal: wal_mod.WalWriter | None = None
-        self._replayed_wals: list[Path] = []
+        self._log_floor = 0  # no WAL below this seq holds a record missing from tables
         self._values = _ValueCache(VALUE_CACHE_BYTES)
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def _recover(self) -> None:
+        # A missing directory is made empty; an existing store is only read.
         self.dir.mkdir(parents=True, exist_ok=True)
+        listing = os.listdir(self.dir)
         l0_names: list[str] = []
         l1_names: list[str] = []
         manifest = self.dir / MANIFEST_NAME
-        log_floor = 0
-        if manifest.exists():
-            l0_names, l1_names, self._seq, log_floor = self._parse_manifest(manifest)
-
-        # Every check runs before recovery deletes any file.
+        if MANIFEST_NAME in listing:
+            l0_names, l1_names, self._seq, self._log_floor = self._parse_manifest(manifest)
         try:
             l0 = tuple(SSTable(self.dir / name) for name in l0_names)
             l1 = tuple(SSTable(self.dir / name) for name in l1_names)
@@ -151,42 +152,16 @@ class Engine:
                 raise RecoveryError(f"{manifest}: L1 table {table.path} is empty or out of key order")
         self._install_tables(l0, l1)
 
-        listed = set(l0_names) | set(l1_names)
-        max_file_seq = 0
-        for entry in os.listdir(self.dir):
-            m = _TABLE_RE.match(entry)
-            if m:
-                max_file_seq = max(max_file_seq, int(m.group(1)))
-                if entry not in listed:
-                    # orphan from a crash between table write and manifest commit
-                    logger.warning("removing orphan table %s", entry)
-                    os.unlink(self.dir / entry)
-                continue
-            m = _WAL_RE.match(entry)
-            if m:
-                max_file_seq = max(max_file_seq, int(m.group(1)))
-        self._seq = max(self._seq, max_file_seq + 1)
-
-        wal_paths = sorted((p for p in self.dir.iterdir() if _WAL_RE.match(p.name)), key=_wal_seq)
-        self._replayed_wals = []
-        for path in wal_paths:
-            if _wal_seq(path) < log_floor:
-                # retired by a flush whose unlink failed: its records are in tables
-                os.unlink(path)
-                continue
-            records = 0
-            for op, key, value in wal_mod.replay_wal(path):
-                records += 1
+        tables, wals = _numbered(listing, _TABLE_RE), _numbered(listing, _WAL_RE)
+        self._seq = max(self._seq, max(tables | wals, default=-1) + 1)
+        for seq in sorted(wals):
+            if seq < self._log_floor:
+                continue  # retired by a flush whose unlink failed: its records are in tables
+            for op, key, value in wal_mod.replay_wal(self.dir / wals[seq]):
                 if op == wal_mod.OP_PUT:
                     self._memtable_insert(key, value)
                 elif op == wal_mod.OP_DELETE:
                     self._memtable_insert(key, TOMBSTONE)
-            if records:
-                self._replayed_wals.append(path)
-            else:
-                # empty segment from a past read-only session
-                os.unlink(path)
-        self._open_fresh_wal()
 
     def _parse_manifest(self, path: Path) -> tuple[list[str], list[str], int, int]:
         l0: list[str] = []
@@ -211,6 +186,8 @@ class Engine:
                     raise RecoveryError(f"{path}: bad {parts[0]} number {parts[1]!r}") from None
             elif not _TABLE_RE.fullmatch(parts[1]):
                 raise RecoveryError(f"{path}: bad table name {parts[1]!r}")
+            elif parts[1] in l0 + l1:
+                raise RecoveryError(f"{path}: table {parts[1]} is named twice")
             else:
                 (l0 if parts[0] == "l0" else l1).append(parts[1])
         for name in l0 + l1:
@@ -219,31 +196,35 @@ class Engine:
         return l0, l1, numbers["seq"], numbers["log"]
 
     def _write_manifest(self) -> None:
+        """Commit the tables and log floor, then delete every file outside
+        them: tables the manifest does not name and WALs below its log line.
+        Retired table objects stay open until readers drop them; their files
+        can go at once (POSIX keeps data reachable by fd)."""
         l0, l1, _ = self._tables
-        oldest_live_wal = (self._replayed_wals + [Path(self._wal.path)])[0]
-        lines = [_MANIFEST_HEADER, f"seq {self._seq}", f"log {_wal_seq(oldest_live_wal)}"]
+        lines = [_MANIFEST_HEADER, f"seq {self._seq}", f"log {self._log_floor}"]
         lines += [f"l0 {os.path.basename(t.path)}" for t in l0]
         lines += [f"l1 {os.path.basename(t.path)}" for t in l1]
         tmp = self.dir / (MANIFEST_NAME + ".tmp")
         tmp.write_text("\n".join(lines) + "\n")
         os.replace(tmp, self.dir / MANIFEST_NAME)
+        listing = os.listdir(self.dir)
+        named = {os.path.basename(t.path) for t in l0 + l1}
+        dead = [n for n in _numbered(listing, _TABLE_RE).values() if n not in named]
+        dead += [n for seq, n in _numbered(listing, _WAL_RE).items() if seq < self._log_floor]
+        _unlink_quietly(self.dir / n for n in dead)
 
     def _install_tables(self, l0: tuple[SSTable, ...], l1: tuple[SSTable, ...]) -> None:
         self._tables = (l0, l1, tuple(t.first_key for t in l1))
 
-    def _open_fresh_wal(self) -> None:
-        path = self.dir / f"wal-{self._seq:06d}.log"
-        self._seq += 1
-        self._wal = wal_mod.WalWriter(path)
-
     def close(self) -> None:
-        """Graceful shutdown: flush pending writes and release files."""
+        """Graceful shutdown: flush this session's writes and release files.
+        Records only replayed stay in their WALs for the next open."""
         if self._closed:
             return
         with self._writer_lock:
-            self.flush()
+            if self._wal is not None:
+                self.flush()
             self._closed = True
-            self._wal.close()
             l0, l1, _ = self._tables
             for t in l0 + l1:
                 t.close()
@@ -295,7 +276,7 @@ class Engine:
         with self._writer_lock:
             self._check_open()
             self._check_capacity(len(key) + len(value))
-            self._wal.append(wal_mod.OP_PUT, key, value)
+            self._log(wal_mod.OP_PUT, key, value)
             self._memtable_insert(key, value)
             self._maybe_flush()
 
@@ -306,9 +287,16 @@ class Engine:
         with self._writer_lock:
             self._check_open()
             self._check_capacity(len(key) + 1)
-            self._wal.append(wal_mod.OP_DELETE, key)
+            self._log(wal_mod.OP_DELETE, key)
             self._memtable_insert(key, TOMBSTONE)
             self._maybe_flush()
+
+    def _log(self, op: int, key: bytes, value: bytes = b"") -> None:
+        """Append to this session's WAL, which its first write creates."""
+        if self._wal is None:
+            self._wal = wal_mod.WalWriter(self.dir / f"wal-{self._seq:06d}.log")
+            self._seq += 1
+        self._wal.append(op, key, value)
 
     def _maybe_flush(self) -> None:
         if (
@@ -318,7 +306,7 @@ class Engine:
             self.flush()
 
     def flush(self) -> None:
-        """Write the memtable as a new L0 table and retire the WAL."""
+        """Write the memtable as a new L0 table and retire every WAL."""
         with self._writer_lock:
             self._check_open()
             if not self._memtable:
@@ -327,14 +315,13 @@ class Engine:
             table = self._build_new_table(entries)
             l0, l1, _ = self._tables
             self._install_tables((table,) + l0, l1)
-            self._wal.close()
-            retired = self._replayed_wals + [Path(self._wal.path)]
-            self._replayed_wals = []
-            self._open_fresh_wal()
-            self._write_manifest()  # its log line now retires every older WAL
+            if self._wal is not None:
+                self._wal.close()
+                self._wal = None
+            self._log_floor = self._seq  # every WAL so far is in tables now
+            self._write_manifest()
             self._memtable = {}
             self._memtable_raw = 0
-            _unlink_quietly(retired)
 
     def _build_new_table(self, entries: Iterable[tuple[bytes, bytes]]) -> SSTable:
         """Write entries as the next table file; a failed build removes it."""
@@ -381,9 +368,6 @@ class Engine:
 
             self._install_tables((), tuple(new_tables))
             self._write_manifest()
-            # Old table objects stay open until readers drop them; the files
-            # can be unlinked immediately (POSIX keeps data reachable by fd).
-            _unlink_quietly(t.path for t in inputs)
 
     # -- read path ---------------------------------------------------------
 
@@ -584,8 +568,8 @@ def _newest_wins(streams: list[Iterable[tuple[bytes, bytes]]]) -> Iterator[tuple
 
 
 def _unlink_quietly(paths: Iterable) -> None:
-    """Unlink each path, ignoring OSError: a file left behind is one recovery
-    removes (an orphan table, or a WAL below the manifest's log line)."""
+    """Unlink each path, ignoring OSError: a file left behind is one the next
+    manifest write removes (an orphan table, or a WAL below its log line)."""
     for path in paths:
         try:
             os.unlink(path)

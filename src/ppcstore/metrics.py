@@ -216,11 +216,8 @@ _COLUMNS = [(f.name, (get_args(f.type) or (f.type,))[0], bool(get_args(f.type)))
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    # str(float) is the shortest text that reads back as the same float
+    return "" if value is None else str(value)
 
 
 def write_report_csv(path, rows: Iterable[ReportRow]) -> None:

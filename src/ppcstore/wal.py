@@ -3,7 +3,9 @@
 Record framing: [4B payload length][payload][4B CRC32 of payload], where
 payload = [1B op][4B key length][encoded key][value bytes]. Appends are
 flushed to the OS per record, so recovery only depends on the kernel, not
-on Python buffer state. A torn or corrupt tail is truncated on replay.
+on Python buffer state. Replay stops at a torn or corrupt tail and leaves
+it in place: no writer appends to an old WAL, and the manifest write that
+retires the file deletes it.
 """
 
 import logging
@@ -40,8 +42,8 @@ class WalWriter:
 
 
 def replay_wal(path) -> Iterator[tuple[int, bytes, bytes]]:
-    """Yield (op, key, value) records; truncate the file at the first bad one."""
-    with open(path, "r+b") as f:
+    """Yield (op, key, value) records up to the first bad one."""
+    with open(path, "rb") as f:
         good_end = 0
         while True:
             header = f.read(_LEN.size)
@@ -65,9 +67,8 @@ def replay_wal(path) -> Iterator[tuple[int, bytes, bytes]]:
         f.seek(0, os.SEEK_END)
         if f.tell() != good_end:
             logger.warning(
-                "truncating torn tail of %s at offset %d (%d bytes dropped)",
+                "ignoring torn tail of %s at offset %d (%d bytes)",
                 path,
                 good_end,
                 f.tell() - good_end,
             )
-            f.truncate(good_end)

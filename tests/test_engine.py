@@ -28,15 +28,11 @@ from ppcstore.errors import (
 from ppcstore.keys import PpcKey
 from ppcstore.sstable import SSTable, build_table
 
-from conftest import V1_TABLE, make_store_config
+from conftest import V1_TABLE, add_crash_leftovers, file_digests, make_store_config
 
 
 def key(i: int, ext: bytes = b"py") -> PpcKey:
     return PpcKey(ext, b"module_%05d" % i, b"id%05d" % i)
-
-
-def _file_contents(d: Path) -> dict[str, bytes]:
-    return {name: (d / name).read_bytes() for name in os.listdir(d)}
 
 
 def fill(engine: Engine, n: int, value_size: int = 100, seed: int = 0) -> dict[PpcKey, bytes]:
@@ -105,10 +101,10 @@ class TestOpenAndConfig:
         (d / "tbl-000900.ppcs").write_bytes(b"orphan")
         with open(d / "MANIFEST", "a") as f:
             f.write(f"l0 ../other/{foreign}\n")
-        files = _file_contents(d)
+        files = file_digests(d)
         with pytest.raises(RecoveryError, match="bad table name"):
             open_store(make_store_config(d))
-        assert _file_contents(d) == files
+        assert file_digests(d) == files
         assert (other / foreign).exists()
 
     @pytest.mark.parametrize("fault", ["reversed", "empty"])
@@ -129,12 +125,28 @@ class TestOpenAndConfig:
             l1.insert(1, "l1 tbl-000950.ppcs")
         (d / "MANIFEST").write_text("\n".join(head + l1) + "\n")
         (d / "tbl-000900.ppcs").write_bytes(b"orphan")
-        files = _file_contents(d)
+        files = file_digests(d)
         with pytest.raises(RecoveryError, match="empty or out of key order"):
             open_store(make_store_config(d))
-        assert _file_contents(d) == files
+        assert file_digests(d) == files
 
-    def test_orphan_table_removed_at_open(self, tmp_path):
+    @pytest.mark.parametrize("second", ["l0", "l1"])
+    def test_manifest_naming_a_table_twice_raises(self, tmp_path, second):
+        d = tmp_path / "store"
+        with open_store(make_store_config(d)) as engine:
+            engine.put(key(1), b"x")
+            engine.flush()
+        lines = (d / "MANIFEST").read_text().splitlines()
+        (l0,) = [line for line in lines if line.startswith("l0 ")]
+        with open(d / "MANIFEST", "a") as f:
+            f.write(second + l0[2:] + "\n")
+        (d / "tbl-000900.ppcs").write_bytes(b"orphan")
+        files = file_digests(d)
+        with pytest.raises(RecoveryError, match="named twice"):
+            open_store(make_store_config(d))
+        assert file_digests(d) == files
+
+    def test_orphan_table_removed_at_next_flush(self, tmp_path):
         # a table written just before a crash, never committed to the manifest
         d = tmp_path / "store"
         with open_store(make_store_config(d)) as engine:
@@ -142,9 +154,16 @@ class TestOpenAndConfig:
             engine.flush()
         orphan = d / "tbl-000900.ppcs"
         orphan.write_bytes(b"leftover junk from a crashed flush")
+        files = file_digests(d)
         with open_store(make_store_config(d)) as engine:
             assert engine.get(key(1)) == b"x"
-        assert not orphan.exists()
+            assert orphan.name not in engine.stats()["tables"]
+        assert file_digests(d) == files  # a read session deletes nothing
+        with open_store(make_store_config(d)) as engine:
+            engine.put(key(2), b"y")
+            engine.flush()
+            assert not orphan.exists()
+            assert engine.get(key(1)) == b"x" and engine.get(key(2)) == b"y"
 
     def test_manifest_listing_a_v1_table_raises_recovery_error(self, tmp_path):
         d = tmp_path / "store"
@@ -251,6 +270,39 @@ os._exit(9)  # no atexit, no buffers flushed, no close()
         with open_store(make_store_config(d)) as engine:
             for i in range(1000):
                 assert engine.get(PpcKey(b"py", b"m%05d" % i, b"id%05d" % i)) == b"payload-%05d" % i
+
+    def test_read_session_changes_no_file(self, tmp_path):
+        d = tmp_path / "store"
+        with open_store(make_store_config(d)) as engine:
+            data = fill(engine, 50)
+            engine.flush()
+        newer = {key(i): b"newer-%d" % i for i in range(0, 60, 5)}
+        add_crash_leftovers(
+            d, {k.encoded(): v for k, v in newer.items()}, stale={key(1).encoded(): b"stale"}
+        )
+        data.update(newer)
+        files = file_digests(d)
+        with open_store(make_store_config(d)) as engine:
+            for k, v in data.items():
+                assert engine.get(k) == v
+            keys = list(data) + [key(999)]
+            assert engine.multi_get(keys) == [data.get(k) for k in keys]
+            assert dict(engine.live_entries()) == {k.encoded(): v for k, v in data.items()}
+        assert file_digests(d) == files
+
+    def test_two_engines_open_at_once_serve_the_wal(self, tmp_path):
+        d = tmp_path / "store"
+        writer = open_store(make_store_config(d))
+        data = fill(writer, 100)
+        del writer  # abandoned: its records live only in its WAL
+        files = file_digests(d)
+        first, second = open_store(make_store_config(d)), open_store(make_store_config(d))
+        for k, v in data.items():
+            assert first.get(k) == v and second.get(k) == v
+        first.close()
+        assert second.multi_get(list(data)) == list(data.values())
+        second.close()
+        assert file_digests(d) == files
 
     def test_deletes_survive_crash(self, tmp_path):
         d = tmp_path / "store"
@@ -670,15 +722,12 @@ class TestWalRetirement:
         d = tmp_path / "store"
         with open_store(make_store_config(d)) as engine:
             fill(engine, 100)
+            assert len([n for n in os.listdir(d) if n.startswith("wal-")]) == 1
             engine.flush()
-            wals = [n for n in os.listdir(d) if n.startswith("wal-")]
-            assert len(wals) == 1  # only the fresh active segment
-            assert os.path.getsize(d / wals[0]) == 0
+            assert not [n for n in os.listdir(d) if n.startswith("wal-")]
 
     def test_wal_that_outlives_its_flush_is_not_replayed(self, tmp_path, monkeypatch):
         d = tmp_path / "store"
-        engine = open_store(make_store_config(d))
-        engine.put(key(1), b"old")
         real_unlink = os.unlink
 
         def unlink_keeping_wals(path, *args, **kwargs):
@@ -688,15 +737,20 @@ class TestWalRetirement:
 
         with monkeypatch.context() as m:
             m.setattr(os, "unlink", unlink_keeping_wals)
-            engine.flush()
-        stale = sorted(n for n in os.listdir(d) if n.startswith("wal-"))[0]
-        engine.put(key(1), b"new")
-        engine.flush()
-        engine.close()
-        assert stale in os.listdir(d)
+            with open_store(make_store_config(d)) as engine:
+                engine.put(key(1), b"old")
+                engine.flush()
+                engine.put(key(1), b"new")  # close() flushes it
+        stale = sorted(n for n in os.listdir(d) if n.startswith("wal-"))
+        assert len(stale) == 2
         with open_store(make_store_config(d)) as engine:
             assert engine.get(key(1)) == b"new"
-        assert stale not in os.listdir(d)
+            assert engine.stats()["memtable_bytes"] == 0  # neither WAL was replayed
+            engine.put(key(2), b"x")
+            engine.flush()
+        assert not set(stale) & set(os.listdir(d))
+        with open_store(make_store_config(d)) as engine:
+            assert engine.get(key(1)) == b"new" and engine.get(key(2)) == b"x"
 
     def test_wal_cap_forces_flush(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine_mod, "MAX_WAL_BYTES", 1 * MIB)

@@ -210,6 +210,13 @@ class TestCsv:
         assert loaded[1].joules == pytest.approx(7.5)
         assert loaded[1].ratio is None
 
+    def test_measured_floats_round_trip_exactly(self, tmp_path):
+        measured = row(0.2748951757898419, 146.31415926535)
+        measured.seconds = 0.123456789
+        path = tmp_path / "r.csv"
+        write_report_csv(path, [measured])
+        assert read_report_csv(path) == [measured]
+
     def test_empty_energy_fields_are_empty_strings(self, tmp_path):
         path = tmp_path / "r.csv"
         write_report_csv(path, [row(0.5, 10.0)])

@@ -19,7 +19,7 @@ from .corpus import canonical_filename, parse_record_stream
 from .engine import Engine, StoreConfig, open_store
 from .errors import IntegrityError
 from .keys import derive_key
-from .metrics import EnergyProbe, ReportRow, measure
+from .metrics import NullProbe, PowercapProbe, ReportRow, measure
 from .workload import Distribution, WorkloadSpec, make_batches, sample
 
 logger = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ def build_store(
     corpus_path,
     config: StoreConfig,
     *,
-    probe: EnergyProbe | None = None,
+    probe: NullProbe | PowercapProbe | None = None,
     tmp_dir=None,
     keep_open: bool = False,
 ) -> tuple[ReportRow, Engine | None]:
@@ -125,9 +125,8 @@ def query_store(
     threads: int = 1,
     seed: int = 1,
     repeats: int = 1,
-    probe: EnergyProbe | None = None,
+    probe: NullProbe | PowercapProbe | None = None,
     universe: Sequence[bytes] | None = None,
-    ordered: bool = False,
 ) -> ReportRow:
     """Sample a hit-only workload from live keys and run it on p threads."""
     if threads < 1:
@@ -142,8 +141,6 @@ def query_store(
         universe=universe,
     )
     keys = sample(spec)
-    if ordered:
-        keys = sorted(keys)
     batched = batch_size > 1
     items: Sequence = make_batches(keys, batch_size) if batched else keys
     measurement = measure(

@@ -57,8 +57,6 @@ def _store_config(args) -> StoreConfig:
         target_block_size=int(args.block_kib * KIB),
         write_buffer_bytes=args.write_buffer_mib * MIB,
         compaction_threads=args.compaction_threads,
-        bits_per_key=args.bits_per_key,
-        capacity_m=args.capacity_mib * MIB if args.capacity_mib else None,
     )
 
 
@@ -75,8 +73,6 @@ def _add_store_flags(p) -> None:
     p.add_argument("--block-kib", type=float, default=64, help="target block size in KiB")
     p.add_argument("--write-buffer-mib", type=int, default=256)
     p.add_argument("--compaction-threads", type=int, default=6)
-    p.add_argument("--bits-per-key", type=float, default=10.0)
-    p.add_argument("--capacity-mib", type=int, default=0, help="capacity budget M (0 = unlimited)")
 
 
 def _build_cli() -> _Parser:
@@ -107,7 +103,6 @@ def _build_cli() -> _Parser:
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--ordered", action="store_true", help="visit keys in sorted order")
     p.add_argument("--csv")
     p.add_argument("--energy", choices=("auto", "off"), default="auto")
 
@@ -180,7 +175,6 @@ def _cmd_query(args) -> int:
             seed=args.seed,
             repeats=args.repeats,
             probe=probe,
-            ordered=args.ordered,
         )
     if args.csv:
         _append_csv(args.csv, row)

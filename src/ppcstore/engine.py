@@ -26,6 +26,7 @@ import threading
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -549,17 +550,12 @@ class _ValueCache:
             }
 
 
-def _tagged(stream: Iterable[tuple[bytes, bytes]], prio: int) -> Iterator[tuple[bytes, int, bytes]]:
-    """Tags every entry with prio; as a generator expression built inline in
-    _newest_wins' loop, every stream would read the loop's last prio."""
-    return ((key, prio, wrapped) for key, wrapped in stream)
-
-
 def _newest_wins(streams: list[Iterable[tuple[bytes, bytes]]]) -> Iterator[tuple[bytes, bytes]]:
     """Live entries of key-ascending streams: for a key in several, the one
-    earliest in the list wins; a key whose winner is a tombstone drops out."""
+    earliest in the list wins, since heapq.merge yields equal keys in stream
+    order; a key whose winner is a tombstone drops out."""
     prev = None
-    for key, _prio, wrapped in heapq.merge(*(_tagged(s, p) for p, s in enumerate(streams))):
+    for key, wrapped in heapq.merge(*streams, key=itemgetter(0)):
         if key == prev:
             continue
         prev = key

@@ -1,8 +1,9 @@
 """Wall-time and energy measurement, derived rates, and Pareto analysis.
 
-Energy comes from powercap-style package-level counters when the kernel
-exposes them; everything degrades gracefully to time-only measurements,
-so the whole benchmark pipeline runs on machines without counter access.
+Energy comes from PowercapProbe, the package-level counters the kernel
+exposes under /sys/class/powercap; where there are none, NullProbe keeps
+every measurement time-only, so the whole benchmark pipeline runs on
+machines without counter access.
 Units follow the split convention: MiB/s (2^20) for throughput and MB/J
 (10^6) for energy efficiency.
 """
@@ -19,56 +20,27 @@ from .errors import ReportFieldError
 MICROJOULE = 1e-6
 
 
-class EnergyProbe:
-    """Cumulative, wrap-corrected joule counter; read() is monotone."""
+class NullProbe:
+    """No energy counter: measure() stays time-only."""
 
-    label = "null"
     available = False
 
     def read(self) -> float:
         return 0.0
 
 
-class NullProbe(EnergyProbe):
-    """Explicit no-energy probe; keeps the pipeline time-only."""
+class PowercapProbe:
+    """Package-domain energy from /sys/class/powercap (RAPL-style).
 
-
-class CounterProbe(EnergyProbe):
-    """Base for probes backed by wrapping raw counters (microjoules).
-
-    Subclasses supply _read_raw() -> list of (value_uj, range_uj) per
-    domain; deltas are accumulated with modular wrap correction so the
-    exposed cumulative value never decreases.
+    read() is a cumulative joule count that never decreases: each domain's
+    raw microjoule counter wraps at its range, and deltas are accumulated
+    with modular wrap correction. _read_raw() returns the raw
+    (value_uj, range_uj) pairs, one per domain.
     """
 
-    def __init__(self):
+    def __init__(self, base: str = "/sys/class/powercap"):
         self._last: list[int] | None = None
         self._total_uj = 0
-
-    def _read_raw(self) -> list[tuple[int, int]]:
-        raise NotImplementedError
-
-    def read(self) -> float:
-        raws = self._read_raw()
-        values = [v for v, _ in raws]
-        if self._last is not None:
-            for (value, wrap_range), last in zip(raws, self._last):
-                if value >= last:
-                    self._total_uj += value - last
-                else:
-                    # counter wrapped between reads
-                    self._total_uj += (wrap_range - last) + value
-        self._last = values
-        return self._total_uj * MICROJOULE
-
-
-class PowercapProbe(CounterProbe):
-    """Package-domain energy from /sys/class/powercap (RAPL-style)."""
-
-    label = "package"
-
-    def __init__(self, base: str = "/sys/class/powercap"):
-        super().__init__()
         self._domains: list[tuple[str, int]] = []
         for name_path in sorted(glob.glob(os.path.join(base, "*", "name"))):
             try:
@@ -87,6 +59,19 @@ class PowercapProbe(CounterProbe):
                 continue
         self.available = bool(self._domains)
 
+    def read(self) -> float:
+        raws = self._read_raw()
+        values = [v for v, _ in raws]
+        if self._last is not None:
+            for (value, wrap_range), last in zip(raws, self._last):
+                if value >= last:
+                    self._total_uj += value - last
+                else:
+                    # counter wrapped between reads
+                    self._total_uj += (wrap_range - last) + value
+        self._last = values
+        return self._total_uj * MICROJOULE
+
     def _read_raw(self) -> list[tuple[int, int]]:
         out = []
         for energy_path, wrap_range in self._domains:
@@ -95,7 +80,7 @@ class PowercapProbe(CounterProbe):
         return out
 
 
-def auto_probe(mode: str = "auto") -> EnergyProbe:
+def auto_probe(mode: str = "auto") -> NullProbe | PowercapProbe:
     """'auto' picks powercap when readable, otherwise the null probe."""
     if mode == "off":
         return NullProbe()
@@ -116,7 +101,7 @@ class Measurement:
 
 def measure(
     phase: Callable[[], int],
-    probe: EnergyProbe | None = None,
+    probe: NullProbe | PowercapProbe | None = None,
     repeats: int = 1,
 ) -> Measurement:
     """Run phase() repeats times; report mean wall time and energy delta.

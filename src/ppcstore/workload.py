@@ -143,14 +143,3 @@ def save_workload(path, spec: WorkloadSpec, keys: Iterable[bytes]) -> None:
         for key in keys:
             out.write(key.hex() + "\n")
 
-
-def load_workload(path) -> tuple[dict[str, str], list[bytes]]:
-    with open(path, "r", encoding="ascii") as f:
-        header_line = f.readline().strip()
-        if not header_line.startswith("# ppc-workload v1"):
-            raise WorkloadSpecError(f"{path}: not a workload file")
-        header = dict(
-            part.split("=", 1) for part in header_line.split() if "=" in part
-        )
-        keys = [bytes.fromhex(line.strip()) for line in f if line.strip()]
-    return header, keys

@@ -10,7 +10,7 @@ import pytest
 
 from ppcstore.codec import CodecSpec
 from ppcstore.engine import KIB, MIB, StoreConfig, open_store
-from ppcstore.metrics import CounterProbe
+from ppcstore.metrics import PowercapProbe
 from ppcstore.synth import SynthSpec, generate_corpus, generate_records
 from ppcstore.wal import OP_PUT, WalWriter
 
@@ -91,14 +91,13 @@ def store(tmp_path):
         engine.close()
 
 
-class FakeProbe(CounterProbe):
-    """Scripted counter: raw microjoule readings plus wrap range."""
-
-    label = "fake"
-    available = True
+class FakeProbe(PowercapProbe):
+    """Scripted counter: raw microjoule readings plus wrap range, read through
+    PowercapProbe's wrap-corrected read()."""
 
     def __init__(self, readings_uj: Sequence[int], wrap_range_uj: int):
-        super().__init__()
+        super().__init__(base=os.devnull)  # no domains are found there
+        self.available = True
         self._readings = list(readings_uj)
         self._pos = 0
         self._range = wrap_range_uj

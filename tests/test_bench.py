@@ -186,17 +186,6 @@ class TestQueryPool:
                 universe=bogus_universe,
             )
 
-    def test_ordered_flag_sorts_visit_order(self, built):
-        engine, _ = built
-        row = query_store(
-            engine,
-            distribution=Distribution.UNIFORM_DISTINCT,
-            num_queries=200,
-            ordered=True,
-            seed=4,
-        )
-        assert row.bytes > 0
-
     def test_repeats_rerun_the_same_queue(self, built):
         engine, _ = built
         row = query_store(

@@ -865,7 +865,7 @@ _model_ops = st.lists(
             st.integers(0, 255),
         ),
         st.tuples(st.just("delete"), st.sampled_from(_MODEL_KEYS)),
-        st.sampled_from([("flush",), ("compact",), ("reopen",)]),
+        st.sampled_from([("flush",), ("compact",), ("reopen",), ("crash",)]),
     ),
     min_size=10,
     max_size=40,
@@ -901,6 +901,9 @@ def test_engine_matches_dict_model(ops):
                     engine.flush()
                 elif op[0] == "compact":
                     engine.compact()
+                elif op[0] == "crash":
+                    # abandoned: no close, so recovery replays what only its WAL holds
+                    engine = open_store(config)
                 else:
                     engine.close()
                     engine = open_store(config)

@@ -95,6 +95,13 @@ class TestProbes:
     def test_auto_off_is_null(self):
         assert isinstance(auto_probe("off"), NullProbe)
 
+    def test_auto_probe_is_usable_by_measure(self):
+        probe = auto_probe("auto")
+        assert isinstance(probe.available, bool)
+        m = measure(lambda: 7, probe=probe, repeats=2)
+        assert m.bytes_processed == 7
+        assert (m.joules is None) == (not probe.available)
+
     def test_auto_falls_back_to_null_when_no_counters(self, tmp_path):
         probe = PowercapProbe(base=str(tmp_path))  # empty dir: no domains
         assert not probe.available

@@ -10,7 +10,6 @@ from ppcstore.workload import (
     Distribution,
     SplitMix64,
     WorkloadSpec,
-    load_workload,
     make_batches,
     sample,
     sample_power_law,
@@ -161,24 +160,24 @@ class TestWorkloadFiles:
         keys = sample(s)
         path = tmp_path / "workload.txt"
         save_workload(path, s, keys)
-        header, loaded = load_workload(path)
-        assert loaded == keys
-        assert header["prng"] == "splitmix64"
-        assert header["dist"] == "powerlaw"
-        assert header["seed"] == "13"
-        assert header["batch"] == "100"
+        header_line, *key_lines = path.read_text(encoding="ascii").splitlines()
+        assert header_line.startswith("# ppc-workload v1 ")
+        header = dict(part.split("=", 1) for part in header_line.split() if "=" in part)
+        assert header == {
+            "prng": "splitmix64",
+            "dist": "powerlaw",
+            "alpha": "-1.5",
+            "queries": "500",
+            "batch": "100",
+            "seed": "13",
+        }
+        assert [bytes.fromhex(line) for line in key_lines] == keys
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         for name in ("a.txt", "b.txt"):
             s = spec(Distribution.UNIFORM_DISTINCT, 200, 500, seed=4)
             save_workload(tmp_path / name, s, sample(s))
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "nope.txt"
-        path.write_text("not a workload\n")
-        with pytest.raises(WorkloadSpecError):
-            load_workload(path)
 
 
 class TestSpecValidation:

@@ -32,14 +32,7 @@ from typing import Iterable, Iterator
 
 from . import wal as wal_mod
 from .codec import CodecSpec
-from .errors import (
-    BatchAbortedError,
-    CapacityError,
-    ConfigError,
-    IntegrityError,
-    RecoveryError,
-    StoreError,
-)
+from .errors import CapacityError, ConfigError, RecoveryError, StoreError
 from .keys import PpcKey
 from .sstable import MIN_BLOCK_SIZE, SSTable, build_table
 
@@ -191,9 +184,6 @@ class Engine:
                 raise RecoveryError(f"{path}: table {parts[1]} is named twice")
             else:
                 (l0 if parts[0] == "l0" else l1).append(parts[1])
-        for name in l0 + l1:
-            if not (self.dir / name).exists():
-                raise RecoveryError(f"{path}: manifest references missing table {name}")
         return l0, l1, numbers["seq"], numbers["log"]
 
     def _write_manifest(self) -> None:
@@ -390,16 +380,7 @@ class Engine:
         def fetch(table: SSTable, key: bytes) -> bytes | None:
             return table.get(key, caches.setdefault(table.uid, {}))
 
-        results: dict[bytes, bytes | None] = {}
-        completed = 0
-        for key in sorted(set(keys)):
-            try:
-                results[key] = _lookup(key, memtable, tables, fetch)
-            except IntegrityError as exc:
-                raise BatchAbortedError(
-                    f"batch aborted after {completed} keys: {exc}", completed
-                ) from exc
-            completed += 1
+        results = {key: _lookup(key, memtable, tables, fetch) for key in sorted(set(keys))}
         return [results[k] for k in keys]
 
     # -- maintenance / introspection ----------------------------------------
@@ -470,7 +451,7 @@ def _lookup(key: bytes, memtable: dict, tables: tuple, fetch) -> bytes | None:
         return None if value is TOMBSTONE else value
     l0, l1, l1_firsts = tables
     idx = bisect_right(l1_firsts, key) - 1
-    if idx >= 0 and l1[idx].covers(key):
+    if idx >= 0 and key <= l1[idx].last_key:  # no L1 table is empty
         l0 += (l1[idx],)
     for table in l0:
         wrapped = fetch(table, key)

@@ -47,14 +47,6 @@ class IntegrityError(StoreError):
     """Stored data failed a checksum or decompression check."""
 
 
-class BatchAbortedError(IntegrityError):
-    """A multi-get batch hit an integrity error; carries partial progress."""
-
-    def __init__(self, message: str, completed: int):
-        self.completed = completed
-        super().__init__(message)
-
-
 class FormatError(StoreError):
     """Table or log file is structurally invalid (magic, truncation, layout)."""
 

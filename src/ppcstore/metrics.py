@@ -12,7 +12,7 @@ import csv
 import glob
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence, get_args
 
 from .errors import ReportFieldError
@@ -96,7 +96,6 @@ class Measurement:
     bytes_processed: int
     joules: float | None
     run_count: int
-    per_run_seconds: list[float] = field(default_factory=list)
 
 
 def measure(
@@ -128,7 +127,6 @@ def measure(
         bytes_processed=bytes_processed,
         joules=(sum(joules) / repeats) if use_energy else None,
         run_count=repeats,
-        per_run_seconds=times,
     )
 
 

@@ -262,10 +262,11 @@ class SSTable:
             raise FormatError(f"{self.path}: short read at offset {offset}")
         return data
 
-    def _read_block(self, idx: int) -> tuple[bytes, list[bytes], list[int]]:
+    def load_block(self, idx: int) -> tuple[bytes, list[bytes], list[int]]:
         """Block idx, CRC-checked and decompressed, as (raw, keys, bounds):
         entry i (header, key, value) is raw[bounds[i]:bounds[i + 1]], so no
-        value is copied until a caller slices it. The one entry parser."""
+        value is copied until a caller slices it. The one block reader:
+        gets, multi-gets, scans and compaction all load blocks here."""
         start = self.block_offsets[idx]
         record = self._read_at(start, self._block_ends[idx] - start)
         body_end = len(record) - _CRC.size
@@ -293,12 +294,6 @@ class SSTable:
             bounds.append(pos)
         return raw, keys, bounds
 
-    def load_block(self, idx: int) -> tuple[list[bytes], list[bytes]]:
-        """Decompress block idx into parallel (keys, values) lists."""
-        raw, keys, bounds = self._read_block(idx)
-        head = _ENTRY_HEADER.size
-        return keys, [raw[b + head + len(k) : e] for k, b, e in zip(keys, bounds, bounds[1:])]
-
     def get(self, key: bytes, block_cache: dict | None = None) -> bytes | None:
         """Point lookup: bloom first, then exactly one data block, of which
         only the matched value is copied. A block_cache dict (one per table)
@@ -310,7 +305,7 @@ class SSTable:
             return None
         cache = {} if block_cache is None else block_cache
         if idx not in cache:
-            cache[idx] = self._read_block(idx)
+            cache[idx] = self.load_block(idx)
         raw, keys, bounds = cache[idx]
         pos = bisect_right(keys, key) - 1
         if pos >= 0 and keys[pos] == key:
@@ -319,16 +314,11 @@ class SSTable:
 
     def scan(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in key order."""
+        head = _ENTRY_HEADER.size
         for idx in range(len(self.block_offsets)):
-            keys, values = self.load_block(idx)
-            yield from zip(keys, values)
-
-    def covers(self, key: bytes) -> bool:
-        return (
-            self.first_key is not None
-            and self.last_key is not None
-            and self.first_key <= key <= self.last_key
-        )
+            raw, keys, bounds = self.load_block(idx)
+            for k, b, e in zip(keys, bounds, bounds[1:]):
+                yield k, raw[b + head + len(k) : e]
 
     def close(self) -> None:
         if self._fd is not None and self._fd >= 0:

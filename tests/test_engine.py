@@ -16,15 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ppcstore import engine as engine_mod
+from ppcstore.bloom import BloomFilter
 from ppcstore.codec import Algorithm, CodecSpec
 from ppcstore.engine import KIB, MIB, VALUE_CACHE_BYTES, Engine, StoreConfig, open_store
-from ppcstore.errors import (
-    BatchAbortedError,
-    CapacityError,
-    ConfigError,
-    IntegrityError,
-    RecoveryError,
-)
+from ppcstore.errors import CapacityError, ConfigError, IntegrityError, RecoveryError
 from ppcstore.keys import PpcKey
 from ppcstore.sstable import SSTable, build_table
 
@@ -85,7 +80,8 @@ class TestOpenAndConfig:
         for entry in os.listdir(d):
             if entry.endswith(".ppcs"):
                 os.unlink(d / entry)
-        with pytest.raises(RecoveryError):
+                missing = entry
+        with pytest.raises(RecoveryError, match=missing):
             open_store(make_store_config(d))
 
     def test_manifest_naming_a_table_outside_the_store_raises(self, tmp_path):
@@ -509,8 +505,59 @@ class TestMultiGet:
             blob = bytearray((d / table_name).read_bytes())
             blob[40] ^= 0xFF  # corrupt first data block
             (d / table_name).write_bytes(bytes(blob))
-            with pytest.raises(BatchAbortedError):
+            with pytest.raises(IntegrityError):
                 engine.multi_get([key(i) for i in range(50)])
+
+
+class TestReadPath:
+    def test_every_block_load_goes_through_load_block(self, tmp_path, monkeypatch):
+        loads = []
+        load_block = SSTable.load_block
+
+        def counted(table, idx):
+            loads.append(idx)
+            return load_block(table, idx)
+
+        monkeypatch.setattr(SSTable, "load_block", counted)
+        config = make_store_config(tmp_path / "store", target_block_size=4 * KIB)
+        with open_store(config) as engine:
+            fill(engine, 300, value_size=1000)
+            engine.flush()
+            (table,) = engine._tables[0]
+            ops = {
+                "get": lambda: engine.get(key(150)),
+                "multi_get": lambda: engine.multi_get([key(i) for i in range(0, 300, 7)]),
+                "scan": lambda: list(table.scan()),
+                "compact": engine.compact,
+            }
+            for name, op in ops.items():
+                loads.clear()
+                before = table.blocks_read
+                op()
+                assert len(loads) == table.blocks_read - before > 0, name
+
+    def test_keys_outside_every_l1_range_read_no_block(self, tmp_path, monkeypatch):
+        # with every bloom saying "maybe", only the L1 routing keeps these
+        # keys away from the tables
+        monkeypatch.setattr(BloomFilter, "might_contain", lambda self, key: True)
+        config = make_store_config(tmp_path / "store", write_buffer_bytes=1 * MIB)
+        with open_store(config) as engine:
+            fill(engine, 2_000, value_size=2_000)
+            engine.flush()
+            engine.compact()
+            l0, l1, _ = engine._tables
+            assert not l0 and len(l1) >= 2
+            inside = l1[0].first_key + b"\x00"
+            gap = l1[0].last_key + b"\x00"
+            above = l1[-1].last_key + b"\x00"
+            assert inside < l1[0].last_key and gap < l1[1].first_key
+            before = engine.read_counters()
+            assert engine.get_encoded(gap) is None
+            assert engine.get_encoded(above) is None
+            assert engine.multi_get_encoded([gap, above]) == [None, None]
+            assert engine.read_counters() == before
+            assert engine.get_encoded(inside) is None
+            assert engine.read_counters()[0] == before[0] + 1
 
 
 class TestBloomAtEngineLevel:

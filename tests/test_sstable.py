@@ -54,7 +54,7 @@ class TestBuildPacking:
         build_table(path, entries, target_block_size=4096, codec=IDENTITY)
         with SSTable(path) as table:
             assert len(table.block_offsets) == 3
-            per_block = [len(table.load_block(i)[0]) for i in range(len(table.block_offsets))]
+            per_block = [len(table.load_block(i)[1]) for i in range(len(table.block_offsets))]
             assert per_block == expected
 
     def test_oversized_entry_gets_own_block(self, tmp_path):

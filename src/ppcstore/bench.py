@@ -1,9 +1,10 @@
 """End-to-end benchmark phases: sorted bulk build, threaded retrieval,
 byte-equality verification, and report formatting.
 
-The build phase external-sorts the corpus by encoded key before insertion,
-so similar files land adjacently regardless of input order. Retrieval starts
-exactly p worker threads and thread i runs queries i, i + p, i + 2p, ...;
+The build phase external-sorts the corpus by encoded key, so similar files
+land adjacently regardless of input order, and ingests the sorted stream into
+an empty store as L1 tables in one compression pass, with no WAL. Retrieval
+starts exactly p worker threads and thread i runs queries i, i + p, i + 2p, ...;
 every query executes exactly once, so total returned bytes are independent
 of p. The configuration matrix is composed by the CLI (`build`, then
 `query --csv` per workload and thread count, then `report`).
@@ -47,7 +48,8 @@ def build_store(
     tmp_dir=None,
     keep_open: bool = False,
 ) -> tuple[ReportRow, Engine | None]:
-    """Sort the corpus by key, bulk-insert into a fresh store, flush+compact.
+    """Sort the corpus by key and ingest it into an empty store
+    (Engine.ingest_sorted); a store that holds data is refused with StoreError.
 
     Returns the build report row and, when keep_open is set, the live engine
     (otherwise it is closed and None is returned).
@@ -58,13 +60,20 @@ def build_store(
         engine = open_store(config)
         engine_holder.append(engine)
         inserted = 0
-        for key, content in extsort.sorted_pairs(
-            corpus_key_value_pairs(corpus_path), tmp_dir=tmp_dir
-        ):
-            engine.put_encoded(key, content)
-            inserted += len(content)
-        engine.flush()
-        engine.compact()
+
+        def counted() -> Iterable[tuple[bytes, bytes]]:
+            nonlocal inserted
+            for key, content in extsort.sorted_pairs(
+                corpus_key_value_pairs(corpus_path), tmp_dir=tmp_dir
+            ):
+                inserted += len(content)
+                yield key, content
+
+        try:
+            engine.ingest_sorted(counted())
+        except BaseException:
+            engine.close()
+            raise
         return inserted
 
     measurement = measure(phase, probe=probe, repeats=1)

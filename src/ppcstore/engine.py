@@ -13,6 +13,10 @@ flushes only what the session wrote. Each manifest write deletes the tables
 it does not name and the WALs below its log line, so an orphan table from a
 crash, or a file whose unlink failed, goes at the next flush or compaction.
 
+A bulk load skips the WAL: ingest_sorted writes key-sorted pairs into an
+empty store straight as L1 tables, cut as compaction cuts them, and its one
+manifest write installs them.
+
 Durability covers a process crash only: nothing is fsynced, not WAL records,
 table files, the manifest's tmp file nor the directory, so an OS crash or a
 power loss can lose acknowledged writes or the last manifest replace.
@@ -32,7 +36,7 @@ from typing import Iterable, Iterator
 
 from . import wal as wal_mod
 from .codec import CodecSpec
-from .errors import CapacityError, ConfigError, RecoveryError, StoreError
+from .errors import CapacityError, ConfigError, RecoveryError, SortViolationError, StoreError
 from .keys import PpcKey
 from .sstable import MIN_BLOCK_SIZE, SSTable, build_table
 
@@ -263,7 +267,7 @@ class Engine:
         self.put_encoded(key.encoded(), value)
 
     def put_encoded(self, key: bytes, value: bytes) -> None:
-        """Bulk-load path for callers that already hold encoded keys."""
+        """put for callers that already hold encoded keys."""
         with self._writer_lock:
             self._check_open()
             self._check_capacity(len(key) + len(value))
@@ -333,32 +337,59 @@ class Engine:
         return SSTable(path)
 
     def compact(self) -> None:
-        """Merge L0 into L1: newest version wins, tombstones drop out.
-
-        The merge streams into build_table, closing a table after the entry
-        that brings its key plus stored-value bytes to write_buffer_bytes. On
-        failure every output file, a partly written one too, is removed.
-        """
+        """Merge L0 into L1: newest version wins, tombstones drop out."""
         with self._writer_lock:
             self._check_open()
             l0, l1, _ = self._tables
             if not l0:
                 return
-            inputs = l0 + l1
-            live = _newest_wins([t.scan() for t in inputs])
-            new_tables: list[SSTable] = []
-            try:
-                for first in live:  # each pass builds one table from the shared stream
-                    run = _run(itertools.chain((first,), live), self.config.write_buffer_bytes)
-                    new_tables.append(self._build_new_table(run))
-            except BaseException:
-                for t in new_tables:
-                    t.close()
-                _unlink_quietly(t.path for t in new_tables)
-                raise
-
-            self._install_tables((), tuple(new_tables))
+            new_tables = self._build_tables(_newest_wins([t.scan() for t in l0 + l1]))
+            self._install_tables((), new_tables)
             self._write_manifest()
+
+    def ingest_sorted(self, pairs: Iterable[tuple[bytes, bytes]]) -> None:
+        """Load key-ascending (encoded key, value) pairs into an empty store
+        as L1 tables, with no WAL; of equal keys the last wins, as with put.
+        A table or memtable entry, replayed ones included, gets StoreError.
+        The manifest write is the commit point: on any failure, such as
+        SortViolationError or CapacityError, the store's files stay as
+        they were."""
+        with self._writer_lock:
+            self._check_open()
+            l0, l1, _ = self._tables
+            if l0 or l1 or self._memtable:
+                raise StoreError(f"{self.dir}: bulk ingest needs an empty store")
+            entries = ((key, _LIVE + value) for key, value in _last_of_equal(pairs))
+            new_tables = self._build_tables(entries, budget=self.config.capacity_m)
+            if not new_tables:
+                return
+            self._install_tables((), new_tables)
+            self._log_floor = self._seq  # no WAL so far holds a record outside tables
+            self._write_manifest()
+
+    def _build_tables(
+        self, entries: Iterator[tuple[bytes, bytes]], budget: int | None = None
+    ) -> tuple[SSTable, ...]:
+        """Cut a key-ascending stream into tables, closing each after the
+        entry that brings its key plus stored-value bytes to
+        write_buffer_bytes. Raises CapacityError once their compressed bytes
+        pass budget; on any failure every table built, a partly written one
+        too, is removed."""
+        new_tables: list[SSTable] = []
+        compressed = 0
+        try:
+            for first in entries:  # each pass builds one table from the shared stream
+                run = _run(itertools.chain((first,), entries), self.config.write_buffer_bytes)
+                new_tables.append(self._build_new_table(run))
+                compressed += new_tables[-1].compressed_bytes_total
+                if budget is not None and compressed > budget:
+                    raise CapacityError(f"compressed size {compressed} exceeds capacity {budget}")
+        except BaseException:
+            for t in new_tables:
+                t.close()
+            _unlink_quietly(t.path for t in new_tables)
+            raise
+        return tuple(new_tables)
 
     # -- read path ---------------------------------------------------------
 
@@ -552,6 +583,17 @@ def _unlink_quietly(paths: Iterable) -> None:
             os.unlink(path)
         except OSError:
             pass
+
+
+def _last_of_equal(pairs: Iterable[tuple[bytes, bytes]]) -> Iterator[tuple[bytes, bytes]]:
+    """Key-ascending pairs, keeping the last of equal keys; a key below the
+    one before it raises SortViolationError."""
+    prev = None
+    for key, group in itertools.groupby(pairs, itemgetter(0)):
+        if prev is not None and key < prev:
+            raise SortViolationError(f"key {key!r} below {prev!r}")
+        prev = key
+        yield deque(group, maxlen=1)[0]
 
 
 def _run(entries: Iterator[tuple[bytes, bytes]], limit: int) -> Iterator[tuple[bytes, bytes]]:

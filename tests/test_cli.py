@@ -204,6 +204,18 @@ def test_verify_reports_corrupt_block_codec_bytes_as_data_error(
     assert main(["verify", str(corpus), "--data-dir", str(data_dir)]) == 2
 
 
+def test_build_into_a_store_that_holds_data_is_refused(corpus, tmp_path, capsys):
+    data_dir = tmp_path / "store"
+    argv = ["build", str(corpus), "--data-dir", str(data_dir), "--write-buffer-mib", "4",
+            "--energy", "off"]
+    assert main(argv) == 0
+    files = file_digests(data_dir)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "empty store" in capsys.readouterr().err
+    assert file_digests(data_dir) == files
+
+
 def test_bad_codec_is_usage_error(corpus, tmp_path, capsys):
     rc = main(
         ["build", str(corpus), "--data-dir", str(tmp_path / "s"), "--codec", "zstd:99"]

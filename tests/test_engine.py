@@ -1,8 +1,10 @@
 """Engine semantics: durability, shadowing, capacity, compaction, counters."""
 
 import gc
+import hashlib
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,14 @@ from ppcstore import engine as engine_mod
 from ppcstore.bloom import BloomFilter
 from ppcstore.codec import Algorithm, CodecSpec
 from ppcstore.engine import KIB, MIB, VALUE_CACHE_BYTES, Engine, StoreConfig, open_store
-from ppcstore.errors import CapacityError, ConfigError, IntegrityError, RecoveryError
+from ppcstore.errors import (
+    CapacityError,
+    ConfigError,
+    IntegrityError,
+    RecoveryError,
+    SortViolationError,
+    StoreError,
+)
 from ppcstore.keys import PpcKey
 from ppcstore.sstable import SSTable, build_table
 
@@ -339,6 +348,22 @@ class TestCapacity:
                 for i in range(100_000):
                     engine.put(key(i), os.urandom(2_000))  # incompressible
             assert engine.stats()["compressed_bytes"] <= config.capacity_m
+
+    def test_ingest_over_capacity_installs_nothing(self, tmp_path):
+        d = tmp_path / "store"
+        config = make_store_config(d, write_buffer_bytes=1 * MIB, capacity_m=1 * MIB)
+        rnd = random.Random(5)
+        pairs = [(key(i).encoded(), rnd.randbytes(2_000)) for i in range(1_500)]  # incompressible
+        with open_store(config) as engine:
+            with pytest.raises(CapacityError):
+                engine.ingest_sorted(pairs)
+            assert engine.stats()["tables"] == {}
+        assert file_digests(d) == []
+        # the budget counts compressed bytes: 3 MiB of repeated bytes fit
+        with open_store(config) as engine:
+            engine.ingest_sorted((key(i).encoded(), b"v" * 2_000) for i in range(1_500))
+            assert engine.stats()["compressed_bytes"] <= config.capacity_m
+            assert engine.get(key(1_499)) == b"v" * 2_000
 
 
 class TestFlushAndCompact:
@@ -895,6 +920,118 @@ class TestCompactionOutput:
             for k, v in model.items():
                 if not bad_lo <= k < bad_hi:
                     assert engine.get_encoded(k) == v
+
+
+def _sorted_pairs(n: int, seed: int, dupes: int = 0) -> list[tuple[bytes, bytes]]:
+    """n key-ascending pairs of 1000-byte random values; the first dupes keys
+    come twice, the second time with another value."""
+    rnd = random.Random(seed)
+    pairs = []
+    for i in range(n):
+        pairs.append((key(i).encoded(), rnd.randbytes(1_000)))
+        if i < dupes:
+            pairs.append((key(i).encoded(), rnd.randbytes(1_000)))
+    return pairs
+
+
+def _l1_digests(engine: Engine) -> list[str]:
+    return [hashlib.sha256(Path(t.path).read_bytes()).hexdigest() for t in engine._tables[1]]
+
+
+class TestIngestSorted:
+    @pytest.mark.parametrize("buffer_mib", [1, 4])
+    def test_tables_equal_a_put_flush_compact_build(self, tmp_path, buffer_mib):
+        pairs = _sorted_pairs(3_000, seed=21, dupes=40)
+        def config(name):
+            return make_store_config(tmp_path / name, write_buffer_bytes=buffer_mib * MIB)
+
+        with open_store(config("put")) as engine:
+            for k, v in pairs:
+                engine.put_encoded(k, v)
+            engine.flush()
+            engine.compact()
+            expected = _l1_digests(engine)
+        with open_store(config("ingest")) as engine:
+            engine.ingest_sorted(iter(pairs))
+            assert engine._tables[0] == ()
+            assert _l1_digests(engine) == expected
+        assert len(expected) == (3 if buffer_mib == 1 else 1)
+        assert not list((tmp_path / "ingest").glob("wal-*.log"))
+
+    def test_equal_keys_keep_the_last_value(self, store):
+        a, b = key(1).encoded(), key(2).encoded()
+        store.ingest_sorted([(a, b"first"), (a, b"last"), (b, b"x"), (b, b"y"), (b, b"z")])
+        assert store.get_encoded(a) == b"last"
+        assert store.get_encoded(b) == b"z"
+        assert store.stats()["entry_count"] == 2
+
+    # entries of 23 key + 1 state + 1000 value bytes: 1024 of them fill the
+    # first 1 MiB table, so at=1024 puts the descent across the cut
+    @pytest.mark.parametrize(
+        "at", [1, 1_024, 2_000], ids=["first-table", "at-the-cut", "after-a-table"]
+    )
+    def test_descending_input_raises_and_leaves_nothing(self, tmp_path, at):
+        d = tmp_path / "store"
+        pairs = _sorted_pairs(3_000, seed=22)
+        pairs[at - 1], pairs[at] = pairs[at], pairs[at - 1]  # one key above its successor
+        with open_store(make_store_config(d, write_buffer_bytes=1 * MIB)) as engine:
+            files = file_digests(d)
+            with pytest.raises(SortViolationError):
+                engine.ingest_sorted(pairs)
+            assert file_digests(d) == files
+            assert not list(d.glob("tbl-*.ppcs"))
+            assert engine.stats()["tables"] == {}
+
+    def test_store_holding_a_table_is_refused(self, tmp_path):
+        d = tmp_path / "store"
+        with open_store(make_store_config(d)) as engine:
+            fill(engine, 20)
+            engine.flush()
+        files = file_digests(d)
+        with open_store(make_store_config(d)) as engine:
+            with pytest.raises(StoreError, match=re.escape(str(d))):
+                engine.ingest_sorted(_sorted_pairs(10, seed=23))
+        assert file_digests(d) == files
+
+    def test_store_with_replayed_wal_records_is_refused(self, tmp_path):
+        d = tmp_path / "store"
+        writer = open_store(make_store_config(d))
+        data = fill(writer, 20)
+        del writer  # abandoned: its records live only in its WAL
+        files = file_digests(d)
+        with open_store(make_store_config(d)) as engine:
+            with pytest.raises(StoreError, match=re.escape(str(d))):
+                engine.ingest_sorted(_sorted_pairs(10, seed=24))
+            assert engine.get(key(3)) == data[key(3)]
+        assert file_digests(d) == files
+
+    def test_failing_input_after_a_table_leaves_nothing(self, tmp_path):
+        d = tmp_path / "store"
+        built = []
+
+        def pairs():
+            yield from _sorted_pairs(2_000, seed=25)
+            built.extend(d.glob("tbl-*.ppcs"))
+            raise RuntimeError("corpus read failed")
+
+        with open_store(make_store_config(d, write_buffer_bytes=1 * MIB)) as engine:
+            files = file_digests(d)
+            with pytest.raises(RuntimeError, match="corpus read failed"):
+                engine.ingest_sorted(pairs())
+        assert len(built) >= 2  # one complete table, one being written
+        assert file_digests(d) == files
+        with open_store(make_store_config(d)) as engine:
+            assert list(engine.live_entries()) == []
+
+    def test_abandoned_engine_after_ingest_reopens_with_every_value(self, tmp_path):
+        d = tmp_path / "store"
+        pairs = _sorted_pairs(2_500, seed=26)
+        engine = open_store(make_store_config(d, write_buffer_bytes=1 * MIB))
+        engine.ingest_sorted(pairs)
+        del engine  # no close
+        with open_store(make_store_config(d)) as engine:
+            assert len(engine._tables[1]) >= 2
+            assert list(engine.live_entries()) == pairs
 
 
 # Dict-model property test: a few keys so versions collide across the
